@@ -19,7 +19,6 @@ from .errors import (
     UnsupportedLengthError,
 )
 from .io import (
-    LevelingReport,
     build_report,
     parse_plan,
     render_report,
@@ -36,7 +35,6 @@ from .oracle import (
 )
 from .plan import (
     AnnualPlan,
-    DeviationReport,
     MeanLoad,
     MonthlyLoads,
     ShiftMatrix,
@@ -44,7 +42,6 @@ from .plan import (
     apply_shift_matrix,
     apply_transfers,
     column_sums,
-    deviation_metrics,
     l1_deviation,
     mean_load,
     quadratic_deviation,
@@ -64,7 +61,7 @@ from .solvers import (
     SolveResult,
     SolverConfig,
     StandardFormQP,
-    TieBreak,
+    deviation,
     solve_bisection,
     solve_exact,
     solve_greedy,
@@ -79,7 +76,6 @@ __all__ = [
     "MeanLoad",
     "TransferVector",
     "ShiftMatrix",
-    "DeviationReport",
     "column_sums",
     "mean_load",
     "validate_transfers",
@@ -87,11 +83,10 @@ __all__ = [
     "l1_deviation",
     "squared_deviation",
     "quadratic_deviation",
-    "deviation_metrics",
     "apply_shift_matrix",
     "Objective",
+    "deviation",
     "Method",
-    "TieBreak",
     "SolverConfig",
     "SolveResult",
     "StandardFormQP",
@@ -112,7 +107,6 @@ __all__ = [
     "parse_plan",
     "write_plan",
     "write_shift_matrix",
-    "LevelingReport",
     "build_report",
     "render_report",
     "run_pipeline",

@@ -8,37 +8,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .errors import (
-    BoundViolationError,
-    BudgetExceededError,
-    FeasibilityError,
-    LevelingError,
-    PlanError,
-    PlanParseError,
-    ShiftBoundaryError,
-    ShiftValidationError,
-    UnsupportedLengthError,
-)
-from .io import build_report, parse_plan, render_report, write_plan, write_shift_matrix
+from .errors import BudgetExceededError, LevelingError, PlanError, PlanParseError, UnsupportedLengthError
+from .io import _INTEGER, build_report, parse_plan, render_report, write_plan, write_shift_matrix
 from .oracle import DEFAULT_BUDGET, brute_force_subset, brute_force_transfers
-from .plan import (
-    AnnualPlan,
-    TransferVector,
-    apply_transfers,
-    column_sums,
-    l1_deviation,
-    mean_load,
-    quadratic_deviation,
-)
+from .plan import AnnualPlan, TransferVector, apply_transfers, column_sums, mean_load
 from .realization import RealizationResult, SelectionProblem, realize_transfers
 from .solvers import (
     Method,
     Objective,
     SolveResult,
     SolverConfig,
+    deviation,
     solve_bisection,
     solve_exact,
     solve_greedy,
@@ -50,15 +32,6 @@ EXIT_CONSTRAINT = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 4
 
-_CONSTRAINT_ERRORS = (
-    PlanError,
-    BoundViolationError,
-    FeasibilityError,
-    ShiftBoundaryError,
-    ShiftValidationError,
-    UnsupportedLengthError,
-)
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; 2 means infeasible here
@@ -67,13 +40,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _transfer_list(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part.strip()) for part in text.split(","))
-    except ValueError:
+    parts = [part.strip() for part in text.split(",")]
+    # the plan cells' rule: ASCII digits with an optional leading "-"
+    if not all(_INTEGER.fullmatch(part) for part in parts):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("transfer list is empty")
-    return values
+    return tuple(int(part) for part in parts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,14 +64,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _metric(loads, transfers, mean, objective: Objective) -> Fraction:
-    if objective is Objective.L1:
-        return l1_deviation(apply_transfers(loads, transfers), mean)
-    return quadratic_deviation(loads, transfers, mean)
+def _joined_transfers(argv: list[str]) -> list[str]:
+    """Glue each --transfers flag, or an abbreviation argparse accepts for
+    it, to the token after it, so that a vector starting with a negative
+    flow is not taken for a flag. An abbreviation that is ambiguous is
+    still refused by argparse in its glued form."""
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        if len(token) > 2 and "--transfers".startswith(token):
+            value = next(tokens, None)
+            if value is not None:
+                token = f"--transfers={value}"
+        out.append(token)
+    return out
 
 
 def _solve(loads, objective: Objective, method: Method) -> tuple[SolveResult, str | None]:
-    config = SolverConfig(objective=objective, method=method)
+    config = SolverConfig(objective)
     if method is Method.GREEDY:
         return solve_greedy(loads, config), None
     if method is Method.BISECTION:
@@ -108,15 +89,15 @@ def _solve(loads, objective: Objective, method: Method) -> tuple[SolveResult, st
             return solve_bisection(loads, config), None
         except UnsupportedLengthError:
             # splitting is only defined for quarter-structured years
-            result = solve_exact(loads, SolverConfig(objective=objective))
-            return result, Method.BISECTION.value
+            return solve_exact(loads, config), Method.BISECTION.value
     return solve_exact(loads, config), None
 
 
-def _oracle_transfer_block(loads, objective: Objective, result: SolveResult, exact: bool) -> dict:
+def _oracle_transfer_block(loads, objective: Objective, result: SolveResult) -> dict:
+    """An optimal result must equal the oracle's vector; any other must not beat it."""
     reference = brute_force_transfers(loads, objective, DEFAULT_BUDGET)
     gap = result.objective_value - reference.objective_value
-    if exact:
+    if result.optimal:
         match = (
             result.objective_value == reference.objective_value
             and result.transfers == reference.transfers
@@ -170,43 +151,21 @@ def _run(args) -> int:
     requested_method = None
     if args.shifts_only:
         transfers = TransferVector(args.transfers)
-        method_tag = "supplied-transfers"
-        after = _metric(loads, transfers, mean, objective)
-        optimal = False
-        visited = 0
+        after = deviation(apply_transfers(loads, transfers), mean, objective)
+        result = SolveResult(transfers, after, "supplied-transfers", False, 0)
     else:
         result, requested_method = _solve(loads, objective, Method(args.method))
-        transfers = result.transfers
-        method_tag = result.method
-        after = result.objective_value
-        optimal = result.optimal
-        visited = result.visited_states
 
-    realization = realize_transfers(plan, transfers)
+    realization = realize_transfers(plan, result.transfers)
 
     oracle_block = None
     if args.verify:
         if args.shifts_only:
-            oracle_block = _oracle_subset_block(plan, transfers, realization)
+            oracle_block = _oracle_subset_block(plan, result.transfers, realization)
         else:
-            oracle_block = _oracle_transfer_block(
-                loads, objective, result, Method(args.method) is Method.EXACT and requested_method is None
-            )
+            oracle_block = _oracle_transfer_block(loads, objective, result)
 
-    report = build_report(
-        plan=plan,
-        objective=objective,
-        method=method_tag,
-        objective_after=after,
-        transfers=transfers,
-        achieved=realization.achieved,
-        residuals=realization.residuals,
-        adjusted_plan=realization.adjusted_plan,
-        optimal=optimal,
-        visited_states=visited,
-        requested_method=requested_method,
-        oracle=oracle_block,
-    )
+    report = build_report(plan, objective, result, realization, requested_method, oracle_block)
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -216,9 +175,9 @@ def _run(args) -> int:
 
     print(f"plan: {plan.k} items x {plan.n} months, {loads.total()} hours, mean {mean.value}")
     print(
-        f"method {method_tag}, objective {objective.value}: "
-        f"before {report.objective_before}, after {report.objective_after}, "
-        f"realized {report.objective_realized}"
+        f"method {result.method}, objective {objective.value}: "
+        f"before {report['objective_before']}, after {report['objective_after']}, "
+        f"realized {report['objective_realized']}"
     )
     if oracle_block is not None:
         print(f"oracle check: {'match' if oracle_block['match'] else 'MISMATCH'}")
@@ -233,7 +192,7 @@ def run_pipeline(argv=None) -> int:
     requested directory and diagnostics go to stderr.
     """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_transfers(sys.argv[1:] if argv is None else list(argv)))
     if args.shifts_only and args.transfers is None:
         parser.error("--shifts-only requires --transfers")
     if args.transfers is not None and not args.shifts_only:
@@ -246,11 +205,8 @@ def run_pipeline(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"repair-leveler: oracle budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except _CONSTRAINT_ERRORS as exc:
+    except LevelingError as exc:  # every other package error is a constraint violation
         print(f"repair-leveler: infeasible: {exc}", file=sys.stderr)
-        return EXIT_CONSTRAINT
-    except LevelingError as exc:  # any straggler from the package
-        print(f"repair-leveler: error: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
 
 

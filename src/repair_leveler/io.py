@@ -9,33 +9,36 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import IO
 
 from .errors import PlanError, PlanParseError
-from .plan import (
-    AnnualPlan,
-    MeanLoad,
-    MonthlyLoads,
-    ShiftMatrix,
-    TransferVector,
-    column_sums,
-    deviation_metrics,
-    mean_load,
-)
-from .solvers import Objective, StandardFormQP
+from .plan import AnnualPlan, ShiftMatrix, column_sums, mean_load
+from .realization import RealizationResult
+from .solvers import Objective, SolveResult, StandardFormQP, deviation
 
 __all__ = [
     "parse_plan",
     "write_plan",
     "write_shift_matrix",
-    "LevelingReport",
     "build_report",
     "render_report",
     "standard_form_to_dict",
 ]
+
+
+# ASCII digits only: int() would also read "1_0" as 10 and "\u0663" as 3
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _int_like(cell: str) -> bool:
+    try:
+        int(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def _parse_rows(rows: list[list[str]]) -> AnnualPlan:
@@ -47,16 +50,10 @@ def _parse_rows(rows: list[list[str]]) -> AnnualPlan:
     if not cleaned:
         raise PlanParseError("plan file holds no rows")
 
-    def is_int(text: str) -> bool:
-        try:
-            int(text)
-        except ValueError:
-            return False
-        return True
-
-    first_row = cleaned[0][1]
-    if not all(is_int(cell) for cell in first_row):
-        cleaned = cleaned[1:]  # header row
+    # a header holds nothing int() reads as a number; any other first row
+    # is data, so "1,x" or "+5,+6" fails at its bad cell below
+    if not any(_int_like(cell) for cell in cleaned[0][1]):
+        cleaned = cleaned[1:]
         if not cleaned:
             raise PlanParseError("plan file holds a header but no data rows")
 
@@ -69,7 +66,7 @@ def _parse_rows(rows: list[list[str]]) -> AnnualPlan:
             )
         parsed = []
         for col, cell in enumerate(cells, start=1):
-            if not is_int(cell):
+            if not _INTEGER.fullmatch(cell):
                 raise PlanParseError(
                     f"row {lineno}, column {col}: {cell!r} is not an integer",
                     row=lineno,
@@ -93,10 +90,12 @@ def _parse_rows(rows: list[list[str]]) -> AnnualPlan:
 def parse_plan(source: str | Path | IO[str]) -> AnnualPlan:
     """Read an annual plan from a CSV path or text stream.
 
-    One row per equipment item, one integer column per month. A header
-    row is optional and auto-detected (any non-integer cell in the first
-    row). Raises PlanParseError with the 1-based row/column on malformed
-    input, including unreadable paths.
+    One row per equipment item, one integer column per month; a cell is
+    ASCII digits with an optional leading "-" (negatives are rejected as
+    such). A header row is optional: the first row is one when none of
+    its cells is a number to int(), so a first row such as "+5,+6" is
+    data and fails at its first cell. Raises PlanParseError with the
+    1-based row/column on malformed input, including unreadable paths.
     """
     if hasattr(source, "read"):
         return _parse_rows(list(csv.reader(source)))
@@ -131,119 +130,61 @@ def _ratio(value: Fraction) -> str:
     return str(value)  # "p/q", or plain "p" when the denominator is 1
 
 
-@dataclass(frozen=True)
-class LevelingReport:
-    """Everything the pipeline decided, in one serializable record.
-
-    objective_after is the configured metric at the transfer vector the
-    solver (or the caller) produced; objective_realized is the same
-    metric recomputed from the emitted adjusted plan, so the two differ
-    exactly when realization left residuals.
-    """
-
-    equipment: int
-    months: int
-    column_sums: tuple[int, ...]
-    total_hours: int
-    mean: Fraction
-    method: str
-    objective: str
-    objective_before: Fraction
-    objective_after: Fraction
-    objective_realized: Fraction
-    transfers: tuple[int, ...]
-    boundaries: tuple[dict, ...]
-    optimal: bool
-    visited_states: int
-    requested_method: str | None = None
-    oracle: dict | None = None
-
-    def to_dict(self) -> dict:
-        doc: dict = {
-            "input": {
-                "equipment": self.equipment,
-                "months": self.months,
-                "column_sums": list(self.column_sums),
-                "total_hours": self.total_hours,
-                "mean": _ratio(self.mean),
-                "mean_decimal": float(self.mean),
-            },
-            "method": self.method,
-        }
-        if self.requested_method is not None:
-            doc["requested_method"] = self.requested_method
-        doc.update(
-            {
-                "objective": self.objective,
-                "objective_before": _ratio(self.objective_before),
-                "objective_before_decimal": float(self.objective_before),
-                "objective_after": _ratio(self.objective_after),
-                "objective_after_decimal": float(self.objective_after),
-                "objective_realized": _ratio(self.objective_realized),
-                "objective_realized_decimal": float(self.objective_realized),
-                "transfers": list(self.transfers),
-                "boundaries": list(self.boundaries),
-                "optimal": self.optimal,
-                "visited_states": self.visited_states,
-            }
-        )
-        if self.oracle is not None:
-            doc["oracle"] = self.oracle
-        return doc
-
-
 def build_report(
     plan: AnnualPlan,
     objective: Objective,
-    method: str,
-    objective_after: Fraction,
-    transfers: TransferVector,
-    achieved: tuple[int, ...],
-    residuals: tuple[int, ...],
-    adjusted_plan: AnnualPlan,
-    optimal: bool,
-    visited_states: int,
+    result: SolveResult,
+    realization: RealizationResult,
     requested_method: str | None = None,
     oracle: dict | None = None,
-) -> LevelingReport:
-    """Assemble the report; before/realized metrics are recomputed here."""
+) -> dict:
+    """Everything the pipeline decided, as the report's JSON document.
+
+    objective_after is the configured metric at the transfer vector the
+    solver (or the caller) produced; objective_before and
+    objective_realized are recomputed here from the input and the emitted
+    adjusted plan, so after and realized differ exactly when realization
+    left residuals. Keys are in their fixed output order.
+    """
     loads = column_sums(plan)
     mean = mean_load(loads)
-    before = deviation_metrics(loads, mean)
-    realized = deviation_metrics(column_sums(adjusted_plan), mean)
-    pick = (lambda r: r.l1) if objective is Objective.L1 else (lambda r: r.quadratic)
-    boundaries = tuple(
-        {
-            "boundary": b + 1,
-            "requested": transfers.x[b],
-            "achieved": achieved[b],
-            "residual": residuals[b],
-        }
-        for b in range(len(transfers.x))
-    )
-    return LevelingReport(
-        equipment=plan.k,
-        months=plan.n,
-        column_sums=loads.loads,
-        total_hours=loads.total(),
-        mean=mean.value,
-        method=method,
-        objective=objective.value,
-        objective_before=pick(before),
-        objective_after=objective_after,
-        objective_realized=pick(realized),
-        transfers=transfers.x,
-        boundaries=boundaries,
-        optimal=optimal,
-        visited_states=visited_states,
-        requested_method=requested_method,
-        oracle=oracle,
-    )
+    doc: dict = {
+        "input": {
+            "equipment": plan.k,
+            "months": plan.n,
+            "column_sums": list(loads.loads),
+            "total_hours": loads.total(),
+            "mean": _ratio(mean.value),
+            "mean_decimal": float(mean.value),
+        },
+        "method": result.method,
+    }
+    if requested_method is not None:
+        doc["requested_method"] = requested_method
+    doc["objective"] = objective.value
+    for key, value in (
+        ("objective_before", deviation(loads, mean, objective)),
+        ("objective_after", result.objective_value),
+        ("objective_realized", deviation(column_sums(realization.adjusted_plan), mean, objective)),
+    ):
+        doc[key] = _ratio(value)
+        doc[f"{key}_decimal"] = float(value)
+    transfers = result.transfers.x
+    doc["transfers"] = list(transfers)
+    doc["boundaries"] = [
+        {"boundary": b + 1, "requested": x, "achieved": got, "residual": left}
+        for b, (x, got, left) in enumerate(zip(transfers, realization.achieved, realization.residuals))
+    ]
+    doc["optimal"] = result.optimal
+    doc["visited_states"] = result.visited_states
+    if oracle is not None:
+        doc["oracle"] = oracle
+    return doc
 
 
-def render_report(report: LevelingReport) -> str:
-    """Deterministic JSON rendering, keys in fixed order."""
-    return json.dumps(report.to_dict(), indent=2) + "\n"
+def render_report(report: dict) -> str:
+    """Deterministic JSON rendering, keys in the order build_report set them."""
+    return json.dumps(report, indent=2) + "\n"
 
 
 def standard_form_to_dict(qp: StandardFormQP) -> dict:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import BudgetExceededError, PlanError
 from .plan import AnnualPlan, MonthlyLoads, ShiftMatrix, TransferVector, column_sums
 from .realization import SelectionProblem
-from .solvers import Objective, SolveResult
+from .solvers import Objective, SolveResult, _scaled_month_cost
 
 __all__ = [
     "OracleBudget",
@@ -65,22 +65,7 @@ def brute_force_transfers(
         raise BudgetExceededError(
             f"transfer search accepts monthly loads up to {budget.max_month_load}, got {top_load}"
         )
-    total = sum(L)
-    if objective is Objective.L1:
-
-        def cost(load: int) -> int:
-            d = n * load - total
-            return -d if d < 0 else d
-
-        scale = n
-    else:
-
-        def cost(load: int) -> int:
-            d = n * load - total
-            return d * d
-
-        scale = n * n
-
+    cost, scale = _scaled_month_cost(objective, n, sum(L))
     B = n - 1
     max_states = budget.max_states
     best_cost = None
@@ -128,22 +113,7 @@ def brute_force_shifts(
     k, n = plan.k, plan.n
     if k * n > budget.max_cells:
         raise BudgetExceededError(f"shift search accepts up to {budget.max_cells} cells, got {k * n}")
-    total = plan.total_hours()
-    if objective is Objective.L1:
-
-        def cost(load: int) -> int:
-            d = n * load - total
-            return -d if d < 0 else d
-
-        scale = n
-    else:
-
-        def cost(load: int) -> int:
-            d = n * load - total
-            return d * d
-
-        scale = n * n
-
+    cost, scale = _scaled_month_cost(objective, n, plan.total_hours())
     cells = [(i, j) for i in range(k) for j in range(n) if plan.entries[i][j] > 0]
     sums = list(column_sums(plan).loads)
     marks = [[0] * n for _ in range(k)]

@@ -29,7 +29,6 @@ __all__ = [
     "MeanLoad",
     "TransferVector",
     "ShiftMatrix",
-    "DeviationReport",
     "column_sums",
     "mean_load",
     "validate_transfers",
@@ -37,7 +36,6 @@ __all__ = [
     "l1_deviation",
     "squared_deviation",
     "quadratic_deviation",
-    "deviation_metrics",
     "apply_shift_matrix",
 ]
 
@@ -170,18 +168,6 @@ class ShiftMatrix:
         return len(self.shifts[0])
 
 
-@dataclass(frozen=True)
-class DeviationReport:
-    """Both deviation metrics of a load vector against the mean."""
-
-    l1: Fraction
-    quadratic: Fraction
-
-    def __post_init__(self):
-        if self.l1 < 0 or self.quadratic < 0:
-            raise PlanError("deviations are non-negative by construction")
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -276,11 +262,6 @@ def quadratic_deviation(loads: MonthlyLoads, transfers: TransferVector, mean: Me
         prev = xs[j]
     total += (L[-1] - m + prev) ** 2
     return total
-
-
-def deviation_metrics(loads: MonthlyLoads, mean: MeanLoad) -> DeviationReport:
-    """Both metrics of the given loads in one report."""
-    return DeviationReport(l1=l1_deviation(loads, mean), quadratic=squared_deviation(loads, mean))
 
 
 def apply_shift_matrix(plan: AnnualPlan, shifts: ShiftMatrix) -> AnnualPlan:

@@ -26,14 +26,14 @@ from .plan import (
     apply_transfers,
     l1_deviation,
     mean_load,
-    quadratic_deviation,
+    squared_deviation,
     validate_transfers,
 )
 
 __all__ = [
     "Objective",
+    "deviation",
     "Method",
-    "TieBreak",
     "SolverConfig",
     "SolveResult",
     "StandardFormQP",
@@ -50,32 +50,28 @@ class Objective(str, enum.Enum):
     QUADRATIC = "quadratic"
 
 
+def deviation(loads: MonthlyLoads, mean: MeanLoad, objective: Objective) -> Fraction:
+    """The objective's deviation of a load vector from the mean."""
+    if objective is Objective.L1:
+        return l1_deviation(loads, mean)
+    return squared_deviation(loads, mean)
+
+
 class Method(str, enum.Enum):
     EXACT = "exact"
     BISECTION = "bisection"
     GREEDY = "greedy"
 
 
-class TieBreak(str, enum.Enum):
-    # single policy, named so results document their own determinism
-    SMALLEST_LEXICOGRAPHIC = "smallest-lexicographic"
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    """What to minimize, how, and how ties are broken."""
+    """What the solvers minimize."""
 
     objective: Objective = Objective.L1
-    method: Method = Method.EXACT
-    tie_break: TieBreak = TieBreak.SMALLEST_LEXICOGRAPHIC
 
     def __post_init__(self):
         if not isinstance(self.objective, Objective):
             raise PlanError(f"unknown objective {self.objective!r}")
-        if not isinstance(self.method, Method):
-            raise PlanError(f"unknown method {self.method!r}")
-        if not isinstance(self.tie_break, TieBreak):
-            raise PlanError(f"unknown tie-break {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -203,12 +199,6 @@ def _chain_dp(L, cost, fixed=None):
     return best_total, tuple(xs), visited
 
 
-def _metric_at(loads: MonthlyLoads, transfers: TransferVector, mean: MeanLoad, objective: Objective) -> Fraction:
-    if objective is Objective.L1:
-        return l1_deviation(apply_transfers(loads, transfers), mean)
-    return quadratic_deviation(loads, transfers, mean)
-
-
 # ---------------------------------------------------------------------------
 # the three methods
 # ---------------------------------------------------------------------------
@@ -237,7 +227,7 @@ def _round_half_toward_zero(value: Fraction) -> int:
     return floor(value + Fraction(1, 2))
 
 
-def solve_greedy(loads: MonthlyLoads, config: SolverConfig = SolverConfig(method=Method.GREEDY)) -> SolveResult:
+def solve_greedy(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> SolveResult:
     """One left-to-right sweep: push each month's excess forward, pull each
     deficit from the following month.
 
@@ -265,8 +255,7 @@ def solve_greedy(loads: MonthlyLoads, config: SolverConfig = SolverConfig(method
         xs.append(x)
         carry = x
     transfers = TransferVector(tuple(xs))
-    validate_transfers(loads, transfers)
-    value = _metric_at(loads, transfers, mean, config.objective)
+    value = deviation(apply_transfers(loads, transfers), mean, config.objective)  # validates on the way
     return SolveResult(transfers, value, Method.GREEDY.value, False, n - 1)
 
 
@@ -282,7 +271,7 @@ def _scan_min(fn, lo: int, hi: int) -> tuple[int, int]:
     return best_x, hi - lo + 1
 
 
-def solve_bisection(loads: MonthlyLoads, config: SolverConfig = SolverConfig(method=Method.BISECTION)) -> SolveResult:
+def solve_bisection(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> SolveResult:
     """Fix the mid-year flow, then the two quarter flows, then level each
     quarter's interior exactly with those three flows pinned.
 

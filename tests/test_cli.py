@@ -140,6 +140,38 @@ def test_shifts_only_mode(golden_csv: Path, tmp_path: Path):
     assert doc["objective_realized"] == "25/2"
 
 
+def test_shifts_only_transfers_may_start_negative(golden_csv: Path, tmp_path: Path):
+    out = tmp_path / "out"
+    cp = run_cli(
+        "--input", str(golden_csv), "--output-dir", str(out),
+        "--shifts-only", "--transfers", "-3,3,5",
+    )
+    assert cp.returncode == 0, cp.stderr
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["transfers"] == [-3, 3, 5]
+
+
+def test_shifts_only_abbreviated_flag_may_start_negative(golden_csv: Path, tmp_path: Path):
+    out = tmp_path / "out"
+    cp = run_cli(
+        "--input", str(golden_csv), "--output-dir", str(out),
+        "--shifts-only", "--transfer", "-3,3,5",
+    )
+    assert cp.returncode == 0, cp.stderr
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["transfers"] == [-3, 3, 5]
+
+
+def test_transfers_accept_ascii_digits_only(golden_csv: Path, tmp_path: Path):
+    # "1_0" is 10 to int(); the flag follows the plan cells' digit rule
+    cp = run_cli(
+        "--input", str(golden_csv), "--output-dir", str(tmp_path / "out"),
+        "--shifts-only", "--transfers", "1_0,0,0",
+    )
+    assert cp.returncode == 4
+    assert not (tmp_path / "out").exists()
+
+
 def test_shifts_only_verify_checks_each_boundary(golden_csv: Path, tmp_path: Path):
     out = tmp_path / "out"
     cp = run_cli(
@@ -168,10 +200,13 @@ def test_exit_parse_errors(tmp_path: Path):
     assert missing.returncode == 1
     assert missing.stderr.startswith("repair-leveler: parse error")
     bad = tmp_path / "bad.csv"
-    bad.write_text("1,x\n")
-    cp = run_cli("--input", str(bad), "--output-dir", str(tmp_path / "o"))
-    assert cp.returncode == 1
-    assert cp.stderr.startswith("repair-leveler: parse error")
+    # the second file has a good row below the bad one, which must not
+    # turn the bad row into a header
+    for text in ("1,x\n", "1,x\n2,3\n", "+5,+6\n1,2\n"):
+        bad.write_text(text)
+        cp = run_cli("--input", str(bad), "--output-dir", str(tmp_path / "o"))
+        assert cp.returncode == 1, text
+        assert cp.stderr.startswith("repair-leveler: parse error"), text
 
 
 def test_exit_infeasible_transfers(golden_csv: Path, tmp_path: Path):

@@ -1,0 +1,15 @@
+"""Every demo script runs to completion against this checkout."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_exits_zero(demo: Path):
+    cp = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, timeout=120)
+    assert cp.returncode == 0, cp.stderr

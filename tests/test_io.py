@@ -64,6 +64,32 @@ def test_parse_bad_cell_reports_position():
     assert exc.value.column == 2
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [("1,x\n2,3\n", 2), ("+5,+6\n1,2\n", 1), ("1_0,2_0\n1,2\n", 1)],
+    ids=["typo", "plus-signs", "underscores"],
+)
+def test_parse_mixed_first_row_is_data_not_header(text, column):
+    # only a row with nothing int() reads as a number is a header; a first
+    # data row with a bad cell must fail at that cell rather than be dropped
+    with pytest.raises(PlanParseError) as exc:
+        parse_plan(io.StringIO(text))
+    assert exc.value.row == 1
+    assert exc.value.column == column
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [("month_1,month_2\n1_0,2\n", 1), ("month_1,month_2\n3,\u0663\n", 2)],
+    ids=["underscore", "arabic-indic-digit"],
+)
+def test_parse_accepts_ascii_digits_only(text, column):
+    with pytest.raises(PlanParseError) as exc:
+        parse_plan(io.StringIO(text))
+    assert exc.value.row == 2
+    assert exc.value.column == column
+
+
 def test_parse_rejects_negative_hours():
     with pytest.raises(PlanParseError):
         parse_plan(io.StringIO("1,-2\n"))
@@ -111,22 +137,11 @@ def _golden_report():
     loads = column_sums(GOLDEN_PLAN)
     result = solve_exact(loads)
     real = realize_transfers(GOLDEN_PLAN, result.transfers)
-    return build_report(
-        GOLDEN_PLAN,
-        Objective.L1,
-        result.method,
-        result.objective_value,
-        result.transfers,
-        real.achieved,
-        real.residuals,
-        real.adjusted_plan,
-        result.optimal,
-        result.visited_states,
-    )
+    return build_report(GOLDEN_PLAN, Objective.L1, result, real)
 
 
 def test_report_structure():
-    doc = _golden_report().to_dict()
+    doc = _golden_report()
     assert list(doc["input"].keys()) == [
         "equipment", "months", "column_sums", "total_hours", "mean", "mean_decimal",
     ]
@@ -139,7 +154,7 @@ def test_report_structure():
 
 
 def test_report_keeps_planned_and_realized_apart():
-    doc = _golden_report().to_dict()
+    doc = _golden_report()
     # the transfer objective is exact; the realized plan pays for item
     # atomicity and must be reported at its own, larger value
     assert doc["objective_before"] == "17"
@@ -150,7 +165,7 @@ def test_report_keeps_planned_and_realized_apart():
 
 
 def test_report_boundary_rows():
-    doc = _golden_report().to_dict()
+    doc = _golden_report()
     assert doc["transfers"] == [3, -3, -5]
     assert doc["boundaries"] == [
         {"boundary": 1, "requested": 3, "achieved": 0, "residual": 3},
@@ -160,7 +175,7 @@ def test_report_boundary_rows():
 
 
 def test_report_optional_blocks_hidden_when_absent():
-    doc = _golden_report().to_dict()
+    doc = _golden_report()
     assert "requested_method" not in doc
     assert "oracle" not in doc
 
@@ -169,7 +184,7 @@ def test_render_report_is_stable_json():
     text = render_report(_golden_report())
     assert text.endswith("\n")
     doc = json.loads(text)
-    assert doc == _golden_report().to_dict()
+    assert doc == _golden_report()
     assert render_report(_golden_report()) == text
 
 

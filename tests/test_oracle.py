@@ -11,12 +11,14 @@ from repair_leveler import (
     OracleBudget,
     SelectionProblem,
     apply_shift_matrix,
+    apply_transfers,
     brute_force_shifts,
     brute_force_subset,
     brute_force_transfers,
     column_sums,
     l1_deviation,
     mean_load,
+    squared_deviation,
     subset_select,
     validate_transfers,
 )
@@ -109,10 +111,23 @@ def test_shift_oracle_value_matches_apply_path():
         plan = AnnualPlan(tuple(
             tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(2)
         ))
-        matrix, value = brute_force_shifts(plan, Objective.L1)
-        moved = apply_shift_matrix(plan, matrix)
         mean = mean_load(column_sums(plan))
-        assert l1_deviation(column_sums(moved), mean) == value
+        for objective, metric in ((Objective.L1, l1_deviation), (Objective.QUADRATIC, squared_deviation)):
+            matrix, value = brute_force_shifts(plan, objective)
+            moved = apply_shift_matrix(plan, matrix)
+            assert metric(column_sums(moved), mean) == value
+
+
+def test_transfer_oracle_value_matches_plan_metric():
+    # the oracle scores with the solvers' scaled integer cost; the exact
+    # Fraction metrics of plan.py must agree at the vector it returns
+    rng = random.Random(9)
+    for _ in range(100):
+        loads = random_loads(rng, rng.randint(2, 5), 12)
+        mean = mean_load(loads)
+        for objective, metric in ((Objective.L1, l1_deviation), (Objective.QUADRATIC, squared_deviation)):
+            result = brute_force_transfers(loads, objective)
+            assert result.objective_value == metric(apply_transfers(loads, result.transfers), mean)
 
 
 def test_shift_oracle_cell_cap():

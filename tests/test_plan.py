@@ -10,6 +10,7 @@ from repair_leveler import (
     FeasibilityError,
     MeanLoad,
     MonthlyLoads,
+    Objective,
     PlanError,
     ShiftBoundaryError,
     ShiftMatrix,
@@ -18,7 +19,7 @@ from repair_leveler import (
     apply_shift_matrix,
     apply_transfers,
     column_sums,
-    deviation_metrics,
+    deviation,
     l1_deviation,
     mean_load,
     quadratic_deviation,
@@ -201,9 +202,8 @@ def test_deviation_metrics_consistency():
     for _ in range(1000):
         loads = random_loads(rng, rng.randint(2, 8), 40)
         mean = mean_load(loads)
-        report = deviation_metrics(loads, mean)
-        assert report.l1 == l1_deviation(loads, mean)
-        assert report.quadratic == squared_deviation(loads, mean)
+        assert deviation(loads, mean, Objective.L1) == l1_deviation(loads, mean)
+        assert deviation(loads, mean, Objective.QUADRATIC) == squared_deviation(loads, mean)
 
 
 def test_deviation_denominators():
@@ -213,9 +213,9 @@ def test_deviation_denominators():
     for _ in range(200):
         n = rng.randint(2, 9)
         loads = random_loads(rng, n, 30)
-        report = deviation_metrics(loads, mean_load(loads))
-        assert (report.l1 * n).denominator == 1
-        assert (report.quadratic * n * n).denominator == 1
+        mean = mean_load(loads)
+        assert (deviation(loads, mean, Objective.L1) * n).denominator == 1
+        assert (deviation(loads, mean, Objective.QUADRATIC) * n * n).denominator == 1
 
 
 @st.composite

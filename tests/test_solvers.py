@@ -220,8 +220,6 @@ def test_dominance_sweep():
 def test_solver_config_validation():
     with pytest.raises(PlanError):
         SolverConfig(objective="l1")
-    with pytest.raises(PlanError):
-        SolverConfig(method="exact")
 
 
 def test_standard_form_golden():
