@@ -2,6 +2,6 @@
 
 import sys
 
-from .cli import main
+from .cli import run_pipeline
 
-sys.exit(main())
+sys.exit(run_pipeline())

@@ -168,10 +168,14 @@ def _run(args) -> int:
     report = build_report(plan, objective, result, realization, requested_method, oracle_block)
 
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_plan(realization.adjusted_plan, out_dir / "adjusted_plan.csv")
-    write_shift_matrix(realization.shift_matrix, out_dir / "shifts.csv")
-    (out_dir / "report.json").write_text(render_report(report), encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_plan(realization.adjusted_plan, out_dir / "adjusted_plan.csv")
+        write_shift_matrix(realization.shift_matrix, out_dir / "shifts.csv")
+        (out_dir / "report.json").write_text(render_report(report), encoding="utf-8")
+    except OSError as exc:  # the --output-dir value is unusable
+        print(f"repair-leveler: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     print(f"plan: {plan.k} items x {plan.n} months, {loads.total()} hours, mean {mean.value}")
     print(
@@ -210,9 +214,5 @@ def run_pipeline(argv=None) -> int:
         return EXIT_CONSTRAINT
 
 
-def main(argv=None) -> int:
-    return run_pipeline(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_pipeline())

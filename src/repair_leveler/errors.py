@@ -2,6 +2,18 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "LevelingError",
+    "PlanError",
+    "BoundViolationError",
+    "FeasibilityError",
+    "ShiftBoundaryError",
+    "ShiftValidationError",
+    "UnsupportedLengthError",
+    "BudgetExceededError",
+    "PlanParseError",
+]
+
 
 class LevelingError(Exception):
     """Base class for every error raised by this package."""

@@ -94,36 +94,42 @@ def parse_plan(source: str | Path | IO[str]) -> AnnualPlan:
     ASCII digits with an optional leading "-" (negatives are rejected as
     such). A header row is optional: the first row is one when none of
     its cells is a number to int(), so a first row such as "+5,+6" is
-    data and fails at its first cell. Raises PlanParseError with the
-    1-based row/column on malformed input, including unreadable paths.
+    data and fails at its first cell. A path is read as UTF-8, with or
+    without a leading byte-order mark. Raises PlanParseError with the
+    1-based row/column on malformed input, including unreadable paths
+    and bytes that are not UTF-8.
     """
     if hasattr(source, "read"):
-        return _parse_rows(list(csv.reader(source)))
+        return _parse_rows(_read_rows(source))
     try:
-        with open(source, newline="", encoding="utf-8") as fh:
-            return _parse_rows(list(csv.reader(fh)))
+        with open(source, newline="", encoding="utf-8-sig") as fh:
+            return _parse_rows(_read_rows(fh))
     except OSError as exc:
         raise PlanParseError(f"cannot read plan file {source}: {exc.strerror}") from exc
 
 
-def _header(n: int) -> list[str]:
-    return [f"month_{j + 1}" for j in range(n)]
+def _read_rows(fh: IO[str]) -> list[list[str]]:
+    try:
+        return list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise PlanParseError(f"plan file is not UTF-8 text: {exc.reason}") from exc
+
+
+def _write_matrix(rows, n: int, path: str | Path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"month_{j + 1}" for j in range(n)])
+        writer.writerows(rows)
 
 
 def write_plan(plan: AnnualPlan, path: str | Path) -> None:
     """Write a plan as CSV with the standard month header."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_header(plan.n))
-        writer.writerows(plan.entries)
+    _write_matrix(plan.entries, plan.n, path)
 
 
 def write_shift_matrix(shifts: ShiftMatrix, path: str | Path) -> None:
     """Write a shift matrix (-1/0/+1 cells) as CSV with the month header."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_header(shifts.n))
-        writer.writerows(shifts.shifts)
+    _write_matrix(shifts.shifts, shifts.n, path)
 
 
 def _ratio(value: Fraction) -> str:

@@ -183,6 +183,11 @@ def mean_load(loads: MonthlyLoads) -> MeanLoad:
     return MeanLoad(loads.total(), loads.n)
 
 
+def _adjusted(L, xs) -> tuple[int, ...]:
+    # month j receives flow x_{j-1} and gives up x_j; zero flow outside the year
+    return tuple(L[j] - (xs[j] if j < len(xs) else 0) + (xs[j - 1] if j else 0) for j in range(len(L)))
+
+
 def validate_transfers(loads: MonthlyLoads, transfers: TransferVector) -> None:
     """Check the transfer vector against the donor bounds and non-negativity.
 
@@ -204,13 +209,9 @@ def validate_transfers(loads: MonthlyLoads, transfers: TransferVector) -> None:
             raise BoundViolationError(
                 b + 1, f"boundary {b + 1}: backward transfer {x} exceeds month {b + 2} hours {L[b + 1]}"
             )
-    prev = 0
-    for j in range(len(L)):
-        out = xs[j] if j < len(xs) else 0
-        adjusted = L[j] - out + prev
+    for j, adjusted in enumerate(_adjusted(L, xs)):
         if adjusted < 0:
             raise FeasibilityError(j + 1, f"month {j + 1} would hold {adjusted} hours")
-        prev = out
 
 
 def apply_transfers(loads: MonthlyLoads, transfers: TransferVector) -> MonthlyLoads:
@@ -221,15 +222,7 @@ def apply_transfers(loads: MonthlyLoads, transfers: TransferVector) -> MonthlyLo
     Total hours are conserved.
     """
     validate_transfers(loads, transfers)
-    L = loads.loads
-    xs = transfers.x
-    out = []
-    prev = 0
-    for j in range(len(L)):
-        cur = xs[j] if j < len(xs) else 0
-        out.append(L[j] - cur + prev)
-        prev = cur
-    return MonthlyLoads(tuple(out))
+    return MonthlyLoads(_adjusted(loads.loads, transfers.x))
 
 
 def l1_deviation(loads: MonthlyLoads, mean: MeanLoad) -> Fraction:

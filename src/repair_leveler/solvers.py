@@ -54,7 +54,9 @@ def deviation(loads: MonthlyLoads, mean: MeanLoad, objective: Objective) -> Frac
     """The objective's deviation of a load vector from the mean."""
     if objective is Objective.L1:
         return l1_deviation(loads, mean)
-    return squared_deviation(loads, mean)
+    if objective is Objective.QUADRATIC:
+        return squared_deviation(loads, mean)
+    raise PlanError(f"unknown objective {objective!r}")
 
 
 class Method(str, enum.Enum):
@@ -105,6 +107,9 @@ def _scaled_month_cost(objective: Objective, n: int, total: int):
 
         return cost, n
 
+    if objective is not Objective.QUADRATIC:
+        raise PlanError(f"unknown objective {objective!r}")
+
     def cost(load: int) -> int:
         d = n * load - total
         return d * d
@@ -115,20 +120,20 @@ def _scaled_month_cost(objective: Objective, n: int, total: int):
 def _chain_dp(L, cost, fixed=None):
     """Minimize the summed per-month cost over integer boundary flows.
 
-    The state at boundary b is its flow x_b in [-L[b+1], L[b]]; month b+1
-    costs cost(L[b+1] - x_{b+1} + x_b), so a backward sweep of suffix
-    minima followed by a forward reconstruction is exact. Reconstruction
-    takes the smallest flow at every stage, which yields the
-    lexicographically smallest optimal vector. `fixed` pins chosen
-    boundaries (0-based) to a single value; a pinned value may make some
-    states dead, tracked as None.
+    The state of month j is its inflow x_{j-1}, the flow at boundary j-1,
+    in [-L[j], L[j-1]]; month 0's only inflow is 0. Month j costs
+    cost(L[j] + x_{j-1} - x_j), so a backward sweep of suffix minima
+    followed by a forward reconstruction is exact. Reconstruction takes
+    the smallest flow at every stage, which yields the lexicographically
+    smallest optimal vector. `fixed` pins chosen boundaries (0-based) to a
+    single value; a pinned value may make some states dead, tracked as
+    None.
 
     Returns (best scaled cost, flows tuple, transition evaluations).
     """
     n = len(L)
-    B = n - 1
-    doms = []
-    for b in range(B):
+    doms = [(0, 0)]  # inflow domain per month
+    for b in range(n - 1):
         if fixed is not None and b in fixed:
             v = fixed[b]
             doms.append((v, v))
@@ -136,20 +141,20 @@ def _chain_dp(L, cost, fixed=None):
             doms.append((-L[b + 1], L[b]))
     visited = 0
 
-    # suffix[b][x - lo] = least cost of months b+1..n-1 given flow x at b
-    suffix: list[list] = [[] for _ in range(B)]
-    lo, hi = doms[B - 1]
+    # suffix[j][x - lo] = least cost of months j..n-1 given inflow x into month j
+    suffix: list[list] = [[] for _ in range(n)]
+    lo, hi = doms[n - 1]
     last = L[n - 1]
-    suffix[B - 1] = [cost(last + x) for x in range(lo, hi + 1)]
+    suffix[n - 1] = [cost(last + x) for x in range(lo, hi + 1)]
     visited += hi - lo + 1
-    for b in range(B - 2, -1, -1):
-        lo, hi = doms[b]
-        lo1, hi1 = doms[b + 1]
-        nxt = suffix[b + 1]
-        month = L[b + 1]
+    for j in range(n - 2, -1, -1):
+        lo, hi = doms[j]
+        lo1, hi1 = doms[j + 1]
+        nxt = suffix[j + 1]
+        month = L[j]
         vals = []
         for x in range(lo, hi + 1):
-            pool = month + x  # hours in month b+1 before its own outflow
+            pool = month + x  # hours in month j before its own outflow
             top = pool if pool < hi1 else hi1  # outflow past the pool goes negative
             best = None
             for i in range(top - lo1 + 1):
@@ -162,30 +167,19 @@ def _chain_dp(L, cost, fixed=None):
             if top >= lo1:
                 visited += top - lo1 + 1
             vals.append(best)
-        suffix[b] = vals
+        suffix[j] = vals
 
-    lo0, hi0 = doms[0]
-    head = suffix[0]
-    first = L[0]
-    best_total = None
-    for i in range(hi0 - lo0 + 1):
-        v = head[i]
-        if v is None:
-            continue
-        c = cost(first - lo0 - i) + v
-        if best_total is None or c < best_total:
-            best_total = c
-    visited += hi0 - lo0 + 1
+    best_total = suffix[0][0]
     if best_total is None:
         raise PlanError("no feasible transfer vector")  # unreachable for in-bound pins
 
     xs: list[int] = []
     target = best_total
-    for b in range(B):
-        lo, hi = doms[b]
-        pool = L[b] + (xs[-1] if b else 0)
+    for j in range(1, n):
+        lo, hi = doms[j]
+        pool = L[j - 1] + (xs[-1] if xs else 0)
         top = pool if pool < hi else hi
-        vals = suffix[b]
+        vals = suffix[j]
         for x in range(lo, top + 1):
             v = vals[x - lo]
             if v is None:
@@ -259,18 +253,6 @@ def solve_greedy(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> 
     return SolveResult(transfers, value, Method.GREEDY.value, False, n - 1)
 
 
-def _scan_min(fn, lo: int, hi: int) -> tuple[int, int]:
-    """Smallest argmin of fn over the integer range [lo, hi], plus scan size."""
-    best_v = None
-    best_x = lo
-    for x in range(lo, hi + 1):
-        v = fn(x)
-        if best_v is None or v < best_v:
-            best_v = v
-            best_x = x
-    return best_x, hi - lo + 1
-
-
 def solve_bisection(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> SolveResult:
     """Fix the mid-year flow, then the two quarter flows, then level each
     quarter's interior exactly with those three flows pinned.
@@ -298,30 +280,19 @@ def solve_bisection(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) 
         def pair(a: int, b: int) -> int:
             return a * a + b * b
 
-    # mid-year flow: balance the two half sums around total/2 (x2 scaling);
-    # both halves deviate by the same amount, so one |.| decides either objective
-    h1 = sum(L[:mid])
+    def split(start: int, cut: int, stop: int, inflow: int, outflow: int, parts: int) -> tuple[int, int]:
+        # smallest flow at boundary cut-1 that best balances months
+        # start..cut-1 against cut..stop-1, each around total/parts (x parts);
+        # returns it with the scan size
+        left = sum(L[start:cut]) + inflow
+        right = sum(L[cut:stop]) - outflow
+        flows = range(-L[cut], L[cut - 1] + 1)
+        v = min(flows, key=lambda v: pair(parts * (left - v) - total, parts * (right + v) - total))
+        return v, len(flows)
 
-    def half_cost(v: int) -> int:
-        d = 2 * (h1 - v) - total
-        return -d if d < 0 else d
-
-    v_mid, scan1 = _scan_min(half_cost, -L[mid], L[mid - 1])
-
-    # quarter flows: balance the two quarters of each half around total/4 (x4)
-    q1, q2 = sum(L[:q]), sum(L[q:mid])
-
-    def first_quarter_cost(v: int) -> int:
-        return pair(4 * (q1 - v) - total, 4 * (q2 + v - v_mid) - total)
-
-    v_q1, scan2 = _scan_min(first_quarter_cost, -L[q], L[q - 1])
-
-    q3, q4 = sum(L[mid : 3 * q]), sum(L[3 * q :])
-
-    def third_quarter_cost(v: int) -> int:
-        return pair(4 * (q3 + v_mid - v) - total, 4 * (q4 + v) - total)
-
-    v_q3, scan3 = _scan_min(third_quarter_cost, -L[3 * q], L[3 * q - 1])
+    v_mid, scan1 = split(0, mid, n, 0, 0, 2)
+    v_q1, scan2 = split(0, q, mid, 0, v_mid, 4)
+    v_q3, scan3 = split(mid, 3 * q, n, v_mid, 0, 4)
 
     fixed = {q - 1: v_q1, mid - 1: v_mid, 3 * q - 1: v_q3}
     best, xs, visited = _chain_dp(L, cost, fixed)
@@ -339,6 +310,16 @@ def solve_bisection(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) 
 # ---------------------------------------------------------------------------
 # standard-form export of the quadratic objective
 # ---------------------------------------------------------------------------
+
+
+def _quadratic_form(linear, quadratic, vec) -> Fraction:
+    """linear . vec + vec^T quadratic vec, exactly."""
+    z = sum((c * v for c, v in zip(linear, vec)), Fraction(0))
+    for i, row in enumerate(quadratic):
+        for j, d in enumerate(row):
+            if d:
+                z += d * vec[i] * vec[j]
+    return z
 
 
 @dataclass(frozen=True)
@@ -378,25 +359,14 @@ class StandardFormQP:
         """Evaluate z at a transfer vector (any integers or rationals)."""
         if len(x) != len(self.linear_coeffs):
             raise PlanError(f"expected {len(self.linear_coeffs)} flows, got {len(x)}")
-        z = sum((c * v for c, v in zip(self.linear_coeffs, x)), Fraction(0))
-        for i, row in enumerate(self.quadratic_coeffs):
-            for j, d in enumerate(row):
-                if d:
-                    z += d * x[i] * x[j]
-        return z
+        return _quadratic_form(self.linear_coeffs, self.quadratic_coeffs, x)
 
     def substituted_z(self, xbar, x0) -> Fraction:
         """Evaluate the substituted objective at (xbar_1..xbar_{n-1}, x0)."""
         sub = self.substitution
         if len(xbar) + 1 != len(sub.linear):
             raise PlanError(f"expected {len(sub.linear) - 1} shifted flows, got {len(xbar)}")
-        vec = tuple(xbar) + (x0,)
-        z = sum((c * v for c, v in zip(sub.linear, vec)), Fraction(0))
-        for i, row in enumerate(sub.quadratic):
-            for j, d in enumerate(row):
-                if d:
-                    z += d * vec[i] * vec[j]
-        return z
+        return _quadratic_form(sub.linear, sub.quadratic, tuple(xbar) + (x0,))
 
     def slack_values(self, x) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The slack pair (xp, xpp) for a transfer vector; non-negative iff x is in bounds."""

@@ -207,6 +207,19 @@ def test_exit_parse_errors(tmp_path: Path):
         cp = run_cli("--input", str(bad), "--output-dir", str(tmp_path / "o"))
         assert cp.returncode == 1, text
         assert cp.stderr.startswith("repair-leveler: parse error"), text
+    bad.write_bytes(b"1,2\n\xff,3\n")  # not UTF-8
+    cp = run_cli("--input", str(bad), "--output-dir", str(tmp_path / "o"))
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("repair-leveler: parse error")
+
+
+def test_exit_unwritable_output_dir(golden_csv: Path, tmp_path: Path):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    cp = run_cli("--input", str(golden_csv), "--output-dir", str(taken))
+    assert cp.returncode == 4
+    assert cp.stderr.startswith("repair-leveler: cannot write outputs:")
+    assert "Traceback" not in cp.stderr
 
 
 def test_exit_infeasible_transfers(golden_csv: Path, tmp_path: Path):
@@ -293,10 +306,23 @@ def test_report_honesty_against_emitted_files(golden_csv: Path, tmp_path: Path):
 
 
 def test_run_pipeline_in_process(golden_csv: Path, tmp_path: Path, capsys):
-    from repair_leveler import run_pipeline
+    from repair_leveler.cli import run_pipeline
 
     out = tmp_path / "out"
     status = run_pipeline(["--input", str(golden_csv), "--output-dir", str(out)])
     assert status == 0
     assert (out / "report.json").exists()
     assert "after 3/2" in capsys.readouterr().out
+
+
+def test_library_import_leaves_cli_unloaded():
+    import repair_leveler
+
+    src = str(Path(repair_leveler.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import repair_leveler; "
+        "print('repair_leveler.cli' in sys.modules)"
+    )
+    cp = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "False\n"

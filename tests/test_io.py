@@ -110,6 +110,25 @@ def test_parse_missing_file(tmp_path: Path):
         parse_plan(tmp_path / "absent.csv")
 
 
+def test_parse_utf8_bom_matches_plain_file(tmp_path: Path):
+    # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+    for text in (b"10,20\n5,6\n", b"month_1,month_2\n10,20\n5,6\n"):
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(text)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + text)
+        assert parse_plan(bom) == parse_plan(plain)
+
+
+def test_parse_rejects_bytes_that_are_not_utf8(tmp_path: Path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"1,2\n\xff,3\n")
+    with pytest.raises(PlanParseError, match="UTF-8"):
+        parse_plan(bad)
+    with open(bad, encoding="utf-8", newline="") as fh, pytest.raises(PlanParseError, match="UTF-8"):
+        parse_plan(fh)
+
+
 def test_write_plan_round_trip(tmp_path: Path):
     out = tmp_path / "plan.csv"
     write_plan(GOLDEN_PLAN, out)

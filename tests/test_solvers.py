@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from repair_leveler import (
+    AnnualPlan,
     MonthlyLoads,
     Objective,
     PlanError,
@@ -11,8 +12,10 @@ from repair_leveler import (
     TransferVector,
     UnsupportedLengthError,
     apply_transfers,
+    brute_force_shifts,
     brute_force_transfers,
     column_sums,
+    deviation,
     l1_deviation,
     mean_load,
     quadratic_deviation,
@@ -222,6 +225,25 @@ def test_solver_config_validation():
         SolverConfig(objective="l1")
 
 
+_UNEVEN = MonthlyLoads((10, 0, 0, 30))
+
+
+# "l1" == Objective.L1 for a str enum, so only an identity check tells a
+# plain string from the member; these calls once fell to the quadratic cost
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: brute_force_transfers(_UNEVEN, "l1"),
+        lambda: deviation(_UNEVEN, mean_load(_UNEVEN), "l1"),
+        lambda: brute_force_shifts(AnnualPlan((_UNEVEN.loads,)), "l1"),
+    ],
+    ids=["brute_force_transfers", "deviation", "brute_force_shifts"],
+)
+def test_plain_string_objective_is_rejected(call):
+    with pytest.raises(PlanError, match="unknown objective"):
+        call()
+
+
 def test_standard_form_golden():
     qp = standard_form(GOLDEN_LOADS)
     assert qp.linear_coeffs == (20, -8, -14)
@@ -354,3 +376,59 @@ def test_visited_states_shrink_with_problem():
     small = solve_exact(MonthlyLoads((3, 3)))
     big = solve_exact(GOLDEN_LOADS)
     assert 0 < small.visited_states < big.visited_states
+
+
+# Fixed inputs for the pinned outputs below: n = 2, 5, 12 for the exact
+# solver, n = 4, 8, 12, 52 for bisection, plus DEAD, whose pinned split
+# flows leave dead states in the chain DP.
+_N2 = (3, 5)
+_N5 = (19, 8, 23, 11, 25)
+_N12 = (15, 8, 21, 16, 21, 11, 4, 12, 0, 11, 15, 8)
+_Q4 = (30, 0, 27, 6)
+_Q8 = (4, 22, 2, 21, 12, 23, 8, 12)
+_Q12 = (15, 21, 18, 19, 9, 22, 14, 13, 24, 21, 5, 11)
+_Q52 = (
+    12, 6, 10, 2, 6, 3, 12, 1, 9, 0, 1, 10, 1, 0, 5, 12, 7, 9, 2, 7, 3, 3, 11, 1, 4, 10,
+    8, 9, 0, 9, 4, 9, 12, 12, 5, 7, 5, 4, 3, 8, 10, 6, 0, 1, 1, 1, 1, 12, 1, 2, 6, 6,
+)
+_DEAD = (8, 0, 1, 5, 0, 2, 0, 2)
+L1, QD = Objective.L1, Objective.QUADRATIC
+
+
+@pytest.mark.parametrize(
+    "solve, objective, loads, transfers, value, visited",
+    [
+        (solve_exact, L1, _N2, (-1,), Fraction(0), 18),
+        (solve_exact, QD, _N2, (-1,), Fraction(0), 18),
+        (solve_exact, L1, _N5, (1, -8, -2, -8), Fraction(8, 5), 2998),
+        (solve_exact, QD, _N5, (1, -8, -2, -8), Fraction(4, 5), 2998),
+        (solve_exact, L1, _N12, (-6, -10, -1, 3, 12, 11, 4, 5, -6, -6, -2), Fraction(20), 5781),
+        (solve_exact, QD, _N12, (1, -5, 2, 5, 13, 11, 4, 6, -4, -3, 2), Fraction(107, 3), 5781),
+        (solve_bisection, L1, _Q4, (14, -2, 9), Fraction(3, 2), 97),
+        (solve_bisection, QD, _Q4, (14, -2, 9), Fraction(3, 4), 97),
+        (solve_bisection, L1, _Q8, (-9, 0, -11, -3, -4, 6, 1), Fraction(0), 298),
+        (solve_bisection, QD, _Q8, (-9, 0, -11, -3, -4, 6, 1), Fraction(0), 298),
+        (solve_bisection, L1, _Q12, (-1, 4, 6, 9, 2, 8, 6, 3, 11, 16, 5), Fraction(0), 3893),
+        (solve_bisection, QD, _Q12, (-1, 4, 6, 9, 2, 8, 6, 3, 11, 16, 5), Fraction(0), 3893),
+        (
+            solve_bisection, L1, _Q52,
+            (2, 2, 6, 2, 2, -1, 5, 1, 5, 0, -4, 1, 0, -5, -6, 0, 1, 4, 0, 1, -2, -4, 2, -2, -3, 2,
+             -3, 0, -7, -4, -9, -6, 0, 6, 5, 6, 5, 4, 3, 2, 6, 6, 0, -1, -1, -1, -5, 2, -2, -5, -4),
+            Fraction(1603, 26), 5852,
+        ),
+        (
+            solve_bisection, QD, _Q52,
+            (5, 4, 7, 2, 2, -1, 5, 1, 5, 0, -3, 3, 0, -5, -6, 0, 1, 4, 0, 1, -2, -4, 2, -2, -3, 2,
+             2, 3, -4, -2, -5, -3, 2, 7, 5, 6, 5, 4, 3, 4, 7, 6, 0, -1, -1, -1, -5, 2, -2, -4, -2),
+            Fraction(6179, 52), 5852,
+        ),
+        (solve_bisection, L1, _DEAD, (3, 0, 0, 5, 0, 2, 0), Fraction(25, 2), 48),
+        (solve_bisection, QD, _DEAD, (4, 0, 0, 5, 0, 2, 0), Fraction(51, 2), 48),
+    ],
+)
+def test_pinned_solver_outputs(solve, objective, loads, transfers, value, visited):
+    # visited_states is part of report.json, so it is pinned with the vector
+    result = solve(MonthlyLoads(loads), SolverConfig(objective))
+    assert result.transfers.x == transfers
+    assert result.objective_value == value
+    assert result.visited_states == visited
