@@ -11,6 +11,7 @@ import csv
 import json
 import re
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 from typing import IO
 
@@ -94,15 +95,15 @@ def parse_plan(source: str | Path | IO[str]) -> AnnualPlan:
     ASCII digits with an optional leading "-" (negatives are rejected as
     such). A header row is optional: the first row is one when none of
     its cells is a number to int(), so a first row such as "+5,+6" is
-    data and fails at its first cell. A path is read as UTF-8, with or
-    without a leading byte-order mark. Raises PlanParseError with the
-    1-based row/column on malformed input, including unreadable paths
-    and bytes that are not UTF-8.
+    data and fails at its first cell. A path is read as UTF-8; one
+    leading byte-order mark is dropped from a path or a stream alike.
+    Raises PlanParseError with the 1-based row/column on malformed input,
+    including unreadable paths and bytes that are not UTF-8.
     """
     if hasattr(source, "read"):
         return _parse_rows(_read_rows(source))
     try:
-        with open(source, newline="", encoding="utf-8-sig") as fh:
+        with open(source, newline="", encoding="utf-8") as fh:
             return _parse_rows(_read_rows(fh))
     except OSError as exc:
         raise PlanParseError(f"cannot read plan file {source}: {exc.strerror}") from exc
@@ -110,9 +111,10 @@ def parse_plan(source: str | Path | IO[str]) -> AnnualPlan:
 
 def _read_rows(fh: IO[str]) -> list[list[str]]:
     try:
-        return list(csv.reader(fh))
+        text = fh.read()
     except UnicodeDecodeError as exc:
         raise PlanParseError(f"plan file is not UTF-8 text: {exc.reason}") from exc
+    return list(csv.reader(StringIO(text.removeprefix("\ufeff"), newline="")))
 
 
 def _write_matrix(rows, n: int, path: str | Path) -> None:

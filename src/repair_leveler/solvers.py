@@ -129,7 +129,19 @@ def _chain_dp(L, cost, fixed=None):
     single value; a pinned value may make some states dead, tracked as
     None.
 
-    Returns (best scaled cost, flows tuple, transition evaluations).
+    The sweep is linear in month hours. cost is convex (and +inf below a
+    zero load), so every suffix table is convex, stage j's value
+    cost(L[j] + x - y) + suffix[j+1][y] has decreasing differences in
+    (x, y), and its smallest argmin y never decreases as x grows
+    (Topkis). One pointer per stage therefore walks the next table once:
+    for each x it resumes at the previous argmin and steps only while
+    that strictly lowers the value. A stage costs O(|dom_j| + |dom_j+1|)
+    evaluations instead of O(|dom_j| * |dom_j+1|). Dead states form a
+    prefix of each table, because x is dead exactly when its largest
+    affordable outflow lies below the first live y.
+
+    Returns (best scaled cost, flows tuple, cost evaluations in the
+    backward sweep).
     """
     n = len(L)
     doms = [(0, 0)]  # inflow domain per month
@@ -153,25 +165,31 @@ def _chain_dp(L, cost, fixed=None):
         nxt = suffix[j + 1]
         month = L[j]
         vals = []
+        i = 0  # argmin index y - lo1; only moves forward
+        while i < len(nxt) and nxt[i] is None:
+            i += 1
         for x in range(lo, hi + 1):
             pool = month + x  # hours in month j before its own outflow
-            top = pool if pool < hi1 else hi1  # outflow past the pool goes negative
-            best = None
-            for i in range(top - lo1 + 1):
-                v = nxt[i]
-                if v is None:
-                    continue
-                c = cost(pool - lo1 - i) + v
-                if best is None or c < best:
-                    best = c
-            if top >= lo1:
-                visited += top - lo1 + 1
+            top = (pool if pool < hi1 else hi1) - lo1  # as an index; outflow past the pool goes negative
+            if i > top:
+                vals.append(None)
+                continue
+            rest = pool - lo1
+            best = cost(rest - i) + nxt[i]
+            visited += 1
+            while i < top:
+                c = cost(rest - i - 1) + nxt[i + 1]
+                visited += 1
+                if c >= best:
+                    break
+                best = c
+                i += 1
             vals.append(best)
         suffix[j] = vals
 
     best_total = suffix[0][0]
     if best_total is None:
-        raise PlanError("no feasible transfer vector")  # unreachable for in-bound pins
+        raise PlanError("no feasible transfer vector")  # pins that no vector affords together
 
     xs: list[int] = []
     target = best_total
@@ -202,7 +220,12 @@ def solve_exact(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> S
     """Globally optimal integer transfers for the configured objective.
 
     Covers the whole feasible box through the chain DP; among optima the
-    returned vector is the lexicographically smallest.
+    returned vector is the lexicographically smallest. Runs in O(n*L)
+    for n months of up to L hours: both per-month costs are convex, so
+    each month's best outflow never decreases as its inflow grows and one
+    forward-only pointer per boundary finds it. visited_states counts the
+    cost evaluations of the DP's backward sweep, at most three per
+    inflow state.
     """
     L = loads.loads
     if len(L) < 2:

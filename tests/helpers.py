@@ -6,7 +6,7 @@ reproducible from its seed alone.
 
 import random
 
-from repair_leveler import AnnualPlan, MonthlyLoads, TransferVector
+from repair_leveler import AnnualPlan, MonthlyLoads, PlanError, TransferVector
 
 # The transfer oracle enumerates every boundary flow, so random sweeps
 # must shrink the load range as the month count grows.
@@ -54,3 +54,63 @@ def sweep_instances(seed: int, count: int) -> list[MonthlyLoads]:
         n = rng.randint(2, 6)
         out.append(random_loads(rng, n, SWEEP_LOAD_CAP[n]))
     return out
+
+
+def quadratic_chain_dp(L, cost, fixed=None):
+    """Reference for solvers._chain_dp: the same recurrence with a full
+    scan of every affordable outflow per state, O(|dom_j| * |dom_j+1|)
+    per stage.
+
+    Returns (best scaled cost, flows tuple, number of dead states).
+    """
+    n = len(L)
+    doms = [(0, 0)]
+    for b in range(n - 1):
+        if fixed is not None and b in fixed:
+            doms.append((fixed[b], fixed[b]))
+        else:
+            doms.append((-L[b + 1], L[b]))
+
+    suffix: list[list] = [[] for _ in range(n)]
+    lo, hi = doms[n - 1]
+    suffix[n - 1] = [cost(L[n - 1] + x) for x in range(lo, hi + 1)]
+    for j in range(n - 2, -1, -1):
+        lo, hi = doms[j]
+        lo1, hi1 = doms[j + 1]
+        nxt = suffix[j + 1]
+        vals = []
+        for x in range(lo, hi + 1):
+            pool = L[j] + x
+            top = pool if pool < hi1 else hi1
+            best = None
+            for i in range(top - lo1 + 1):
+                v = nxt[i]
+                if v is None:
+                    continue
+                c = cost(pool - lo1 - i) + v
+                if best is None or c < best:
+                    best = c
+            vals.append(best)
+        suffix[j] = vals
+
+    best_total = suffix[0][0]
+    if best_total is None:
+        raise PlanError("no feasible transfer vector")
+
+    xs: list[int] = []
+    target = best_total
+    for j in range(1, n):
+        lo, hi = doms[j]
+        pool = L[j - 1] + (xs[-1] if xs else 0)
+        top = pool if pool < hi else hi
+        vals = suffix[j]
+        for x in range(lo, top + 1):
+            v = vals[x - lo]
+            if v is not None and cost(pool - x) + v == target:
+                xs.append(x)
+                target = v
+                break
+        else:
+            raise AssertionError("suffix table and reconstruction disagree")
+    dead = sum(v is None for vals in suffix for v in vals)
+    return best_total, tuple(xs), dead

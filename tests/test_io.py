@@ -120,6 +120,16 @@ def test_parse_utf8_bom_matches_plain_file(tmp_path: Path):
         assert parse_plan(bom) == parse_plan(plain)
 
 
+def test_parse_utf8_bom_on_stream_matches_plain_stream(tmp_path: Path):
+    for text in ("10,20\n5,6\n", "month_1,month_2\n10,20\n5,6\n"):
+        assert parse_plan(io.StringIO("\ufeff" + text)) == parse_plan(io.StringIO(text))
+    # a header-less file with a mark, opened by the caller as plain UTF-8
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf10,20\n5,6\n")
+    with open(bom, encoding="utf-8", newline="") as fh:
+        assert parse_plan(fh) == parse_plan(io.StringIO("10,20\n5,6\n"))
+
+
 def test_parse_rejects_bytes_that_are_not_utf8(tmp_path: Path):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"1,2\n\xff,3\n")

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import find, given, settings, strategies as st
 
 from repair_leveler import (
     AnnualPlan,
@@ -26,7 +27,15 @@ from repair_leveler import (
     standard_form,
     validate_transfers,
 )
-from helpers import GOLDEN_LOADS, random_feasible_transfers, random_loads, random_plan
+from repair_leveler.solvers import _chain_dp, _scaled_month_cost
+from helpers import (
+    GOLDEN_LOADS,
+    SWEEP_LOAD_CAP,
+    quadratic_chain_dp,
+    random_feasible_transfers,
+    random_loads,
+    random_plan,
+)
 
 QUAD = SolverConfig(objective=Objective.QUADRATIC)
 
@@ -394,9 +403,24 @@ _Q52 = (
 _DEAD = (8, 0, 1, 5, 0, 2, 0, 2)
 L1, QD = Objective.L1, Objective.QUADRATIC
 
+# visited_states of each case below: the cost evaluations of the chain
+# DP's backward sweep, plus the flows bisection's three split scans try
+_SWEEP_WORK = {
+    (_N2, L1): 15, (_N2, QD): 15,
+    (_N5, L1): 285, (_N5, QD): 314,
+    (_N12, L1): 656, (_N12, QD): 713,
+    (_Q4, L1): 97, (_Q4, QD): 97,
+    (_Q8, L1): 250, (_Q8, QD): 250,
+    (_Q12, L1): 609, (_Q12, QD): 626,
+    (_Q52, L1): 1396, (_Q52, QD): 1472,
+    (_DEAD, L1): 37, (_DEAD, QD): 38,
+}
+
 
 @pytest.mark.parametrize(
-    "solve, objective, loads, transfers, value, visited",
+    # scan_work: the transitions a scan of every affordable outflow per
+    # state makes on the case, plus the split scans; the sweep never makes more
+    "solve, objective, loads, transfers, value, scan_work",
     [
         (solve_exact, L1, _N2, (-1,), Fraction(0), 18),
         (solve_exact, QD, _N2, (-1,), Fraction(0), 18),
@@ -426,9 +450,80 @@ L1, QD = Objective.L1, Objective.QUADRATIC
         (solve_bisection, QD, _DEAD, (4, 0, 0, 5, 0, 2, 0), Fraction(51, 2), 48),
     ],
 )
-def test_pinned_solver_outputs(solve, objective, loads, transfers, value, visited):
+def test_pinned_solver_outputs(solve, objective, loads, transfers, value, scan_work):
     # visited_states is part of report.json, so it is pinned with the vector
     result = solve(MonthlyLoads(loads), SolverConfig(objective))
     assert result.transfers.x == transfers
     assert result.objective_value == value
-    assert result.visited_states == visited
+    assert result.visited_states == _SWEEP_WORK[loads, objective]
+    assert result.visited_states <= scan_work
+
+
+# Loads near 4 000 and near 20 000 h per month: at these sizes a scan of
+# every affordable outflow per state would take minutes.
+_H4K = (4012, 3987, 4133, 3870, 4205, 3954, 4061, 3899, 4178, 3926, 4040, 3993)
+_H20K = (20110, 19875, 20342, 19601, 20087, 19930, 20456, 19722, 20015, 19808, 20231, 19964)
+
+
+@pytest.mark.parametrize("objective", [L1, QD])
+@pytest.mark.parametrize("loads", [_H4K, _H20K])
+def test_exact_work_is_linear_in_month_hours(loads, objective):
+    # each inflow state costs at most 2 evaluations plus its pointer
+    # advances, and the pointer crosses the next table once, so the sweep
+    # makes at most 3 evaluations per state of the total domain width D
+    width = 1 + sum(loads[b] + loads[b + 1] + 1 for b in range(len(loads) - 1))
+    result = solve_exact(MonthlyLoads(loads), SolverConfig(objective))
+    assert 0 < result.visited_states <= 3 * width
+
+
+@st.composite
+def chain_cases(draw):
+    # any boundary may be pinned to any flow within its own bounds; a
+    # positive pin after an unpinned boundary leaves dead states, and
+    # jointly unaffordable pins leave no feasible vector at all
+    n = draw(st.integers(min_value=2, max_value=10))
+    L = draw(st.lists(st.integers(min_value=0, max_value=60), min_size=n, max_size=n))
+    objective = draw(st.sampled_from(Objective))
+    pinned = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    fixed = {b: draw(st.integers(min_value=-L[b + 1], max_value=L[b])) for b in range(n - 1) if pinned[b]}
+    cost, _ = _scaled_month_cost(objective, n, sum(L))
+    return L, cost, fixed or None
+
+
+def _chain_outcome(dp, case):
+    try:
+        return dp(*case)[:2]
+    except PlanError:
+        return "infeasible"
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_cases())
+def test_chain_dp_matches_quadratic_reference(case):
+    assert _chain_outcome(_chain_dp, case) == _chain_outcome(quadratic_chain_dp, case)
+
+
+def test_chain_cases_include_dead_states():
+    def has_dead_states(case):
+        try:
+            return quadratic_chain_dp(*case)[2] > 0
+        except PlanError:
+            return False
+
+    find(chain_cases(), has_dead_states, settings=settings(database=None, deadline=None))
+
+
+@st.composite
+def oracle_sized_loads(draw):
+    n = draw(st.sampled_from(sorted(SWEEP_LOAD_CAP)))
+    cap = SWEEP_LOAD_CAP[n]
+    return MonthlyLoads(tuple(draw(st.lists(st.integers(min_value=0, max_value=cap), min_size=n, max_size=n))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_sized_loads(), st.sampled_from(Objective))
+def test_exact_matches_brute_force_transfers(loads, objective):
+    result = solve_exact(loads, SolverConfig(objective))
+    oracle = brute_force_transfers(loads, objective)
+    assert result.transfers == oracle.transfers
+    assert result.objective_value == oracle.objective_value
