@@ -7,9 +7,10 @@ them as whole-item moves and prints what changed at each step.
 from pathlib import Path
 
 from repair_leveler import (
+    Objective,
     apply_transfers,
     column_sums,
-    l1_deviation,
+    deviation,
     mean_load,
     parse_plan,
     realize_transfers,
@@ -25,8 +26,8 @@ def main() -> None:
     mean = mean_load(loads)
 
     print(f"plan: {plan.k} equipment items over {plan.n} months")
-    print(f"monthly totals: {list(loads.loads)}  (mean {mean.value})")
-    print(f"starting L1 deviation: {l1_deviation(loads, mean)}")
+    print(f"monthly totals: {list(loads.loads)}  (mean {mean})")
+    print(f"starting L1 deviation: {deviation(loads, Objective.L1)}")
     print()
 
     result = solve_exact(loads)
@@ -45,7 +46,7 @@ def main() -> None:
         direction = "forward" if x >= 0 else "backward"
         print(f"  boundary {b}: wanted {abs(x)}h {direction}, moved {got}h, residual {miss}h")
     print(f"realized totals: {list(realized.loads)}")
-    print(f"realized L1 deviation: {l1_deviation(realized, mean)}")
+    print(f"realized L1 deviation: {deviation(realized, Objective.L1)}")
     print()
     print("per-item moves (-1 earlier, 0 stay, +1 later):")
     for row in real.shift_matrix.shifts:

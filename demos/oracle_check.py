@@ -1,4 +1,4 @@
-"""Spot-checkter: exact solver vs exhaustive search on random instances.
+"""Spot-checker: exact solver vs exhaustive search on random instances.
 
 The brute-force oracle enumerates every feasible transfer vector, so it
 is only usable at desk scale, but within its budget it is the ground

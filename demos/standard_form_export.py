@@ -11,9 +11,10 @@ import json
 
 from repair_leveler import (
     MonthlyLoads,
+    Objective,
     TransferVector,
-    mean_load,
-    quadratic_deviation,
+    apply_transfers,
+    deviation,
     solve_exact,
     standard_form,
 )
@@ -28,7 +29,7 @@ def main() -> None:
     print()
 
     x = solve_exact(LOADS).transfers
-    v = quadratic_deviation(LOADS, x, mean_load(LOADS))
+    v = deviation(apply_transfers(LOADS, x), Objective.QUADRATIC)
     z = qp.objective_z(x.x)
     print(f"at x = {list(x.x)}:")
     print(f"  z(x)        = {z}")

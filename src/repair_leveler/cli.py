@@ -13,7 +13,7 @@ from pathlib import Path
 from .errors import BudgetExceededError, LevelingError, PlanError, PlanParseError, UnsupportedLengthError
 from .io import _INTEGER, build_report, parse_plan, render_report, write_plan, write_shift_matrix
 from .oracle import DEFAULT_BUDGET, brute_force_subset, brute_force_transfers
-from .plan import AnnualPlan, TransferVector, apply_transfers, column_sums, mean_load
+from .plan import TransferVector, apply_transfers, column_sums, mean_load
 from .realization import RealizationResult, SelectionProblem, realize_transfers
 from .solvers import (
     Method,
@@ -47,6 +47,14 @@ def _transfer_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in parts)
 
 
+def _month_count(text: str) -> int:
+    value = text.strip()
+    # the plan cells' rule again, and no plan has fewer than two months
+    if not _INTEGER.fullmatch(value) or int(value) < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {text!r}")
+    return int(value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="repair-leveler",
@@ -57,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output-dir", default=".", help="where adjusted_plan.csv, shifts.csv and report.json go (default: current directory)")
     parser.add_argument("--method", choices=[m.value for m in Method], default=Method.EXACT.value, help="transfer solver (default: exact)")
     parser.add_argument("--objective", choices=[o.value for o in Objective], default=Objective.L1.value, help="deviation metric to minimize (default: l1)")
-    parser.add_argument("--months", type=int, default=None, help="validate that the plan has exactly this many months")
+    parser.add_argument("--months", type=_month_count, default=None, help="validate that the plan has exactly this many months")
     parser.add_argument("--verify", action="store_true", help="cross-check the result against the exhaustive reference search")
     parser.add_argument("--shifts-only", action="store_true", help="skip solving; realize the vector given via --transfers")
     parser.add_argument("--transfers", type=_transfer_list, default=None, metavar="X1,X2,...", help='precomputed transfer vector, e.g. "4,-2,-4" (requires --shifts-only)')
@@ -115,23 +123,14 @@ def _oracle_transfer_block(loads, objective: Objective, result: SolveResult) -> 
     }
 
 
-def _oracle_subset_block(plan: AnnualPlan, transfers: TransferVector, realization: RealizationResult) -> dict:
-    """Re-derive each boundary's donor pool and check the achieved hours
-    against the exhaustive subset scan."""
-    marks = realization.shift_matrix.shifts
+def _oracle_subset_block(transfers: TransferVector, realization: RealizationResult) -> dict:
+    """Check each boundary's achieved hours against the exhaustive subset
+    scan over the donor pool realization chose from."""
     entries = []
     all_match = True
-    for b, x in enumerate(transfers.x):
+    for b, (x, items) in enumerate(zip(transfers.x, realization.pools)):
         if x == 0:
             continue
-        if x > 0:
-            month = b
-            # cells claimed backward by the previous boundary were gone already
-            rows = [i for i in range(plan.k) if plan.entries[i][month] > 0 and marks[i][month] != -1]
-        else:
-            month = b + 1
-            rows = [i for i in range(plan.k) if plan.entries[i][month] > 0]
-        items = tuple(plan.entries[i][month] for i in rows)
         reference = brute_force_subset(SelectionProblem(items, abs(x)), DEFAULT_BUDGET)
         best = sum(items[c] for c in reference)
         ok = best == realization.achieved[b]
@@ -145,13 +144,12 @@ def _run(args) -> int:
     if args.months is not None and plan.n != args.months:
         raise PlanError(f"plan has {plan.n} months, --months asked for {args.months}")
     loads = column_sums(plan)
-    mean = mean_load(loads)
     objective = Objective(args.objective)
 
     requested_method = None
     if args.shifts_only:
         transfers = TransferVector(args.transfers)
-        after = deviation(apply_transfers(loads, transfers), mean, objective)
+        after = deviation(apply_transfers(loads, transfers), objective)
         result = SolveResult(transfers, after, "supplied-transfers", False, 0)
     else:
         result, requested_method = _solve(loads, objective, Method(args.method))
@@ -161,7 +159,7 @@ def _run(args) -> int:
     oracle_block = None
     if args.verify:
         if args.shifts_only:
-            oracle_block = _oracle_subset_block(plan, result.transfers, realization)
+            oracle_block = _oracle_subset_block(result.transfers, realization)
         else:
             oracle_block = _oracle_transfer_block(loads, objective, result)
 
@@ -177,7 +175,7 @@ def _run(args) -> int:
         print(f"repair-leveler: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    print(f"plan: {plan.k} items x {plan.n} months, {loads.total()} hours, mean {mean.value}")
+    print(f"plan: {plan.k} items x {plan.n} months, {loads.total()} hours, mean {mean_load(loads)}")
     print(
         f"method {result.method}, objective {objective.value}: "
         f"before {report['objective_before']}, after {report['objective_after']}, "

@@ -162,8 +162,8 @@ def build_report(
             "months": plan.n,
             "column_sums": list(loads.loads),
             "total_hours": loads.total(),
-            "mean": _ratio(mean.value),
-            "mean_decimal": float(mean.value),
+            "mean": _ratio(mean),
+            "mean_decimal": float(mean),
         },
         "method": result.method,
     }
@@ -171,9 +171,9 @@ def build_report(
         doc["requested_method"] = requested_method
     doc["objective"] = objective.value
     for key, value in (
-        ("objective_before", deviation(loads, mean, objective)),
+        ("objective_before", deviation(loads, objective)),
         ("objective_after", result.objective_value),
-        ("objective_realized", deviation(column_sums(realization.adjusted_plan), mean, objective)),
+        ("objective_realized", deviation(column_sums(realization.adjusted_plan), objective)),
     ):
         doc[key] = _ratio(value)
         doc[f"{key}_decimal"] = float(value)

@@ -1,8 +1,9 @@
 """Annual repair plans and the algebra of month-boundary transfers.
 
-Hours are non-negative integers. The monthly mean and both deviation
-metrics are exact rationals (`fractions.Fraction`), so callers compare
-results with plain equality, no tolerances.
+Hours are non-negative integers and the monthly mean is an exact
+rational (`fractions.Fraction`), so callers compare results with plain
+equality, no tolerances. The deviation metrics are
+`solvers.deviation`, scored with the solvers' own per-month cost.
 
 Sign convention for a transfer x_j at the boundary between months j and
 j+1 (1-based): positive moves hours forward into month j+1, negative
@@ -26,16 +27,12 @@ from .errors import (
 __all__ = [
     "AnnualPlan",
     "MonthlyLoads",
-    "MeanLoad",
     "TransferVector",
     "ShiftMatrix",
     "column_sums",
     "mean_load",
     "validate_transfers",
     "apply_transfers",
-    "l1_deviation",
-    "squared_deviation",
-    "quadratic_deviation",
     "apply_shift_matrix",
 ]
 
@@ -101,23 +98,6 @@ class MonthlyLoads:
 
 
 @dataclass(frozen=True)
-class MeanLoad:
-    """Average monthly load, kept as the exact ratio total hours / months."""
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self):
-        _check_hours(self.numerator, "total hours")
-        if not isinstance(self.denominator, int) or isinstance(self.denominator, bool) or self.denominator < 1:
-            raise PlanError(f"month count must be a positive integer, got {self.denominator!r}")
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-
-@dataclass(frozen=True)
 class TransferVector:
     """Integer hours moved across each month boundary (positive = forward)."""
 
@@ -178,9 +158,9 @@ def column_sums(plan: AnnualPlan) -> MonthlyLoads:
     return MonthlyLoads(tuple(sum(row[j] for row in plan.entries) for j in range(plan.n)))
 
 
-def mean_load(loads: MonthlyLoads) -> MeanLoad:
+def mean_load(loads: MonthlyLoads) -> Fraction:
     """Average monthly hours as an exact ratio, never rounded."""
-    return MeanLoad(loads.total(), loads.n)
+    return Fraction(loads.total(), loads.n)
 
 
 def _adjusted(L, xs) -> tuple[int, ...]:
@@ -223,38 +203,6 @@ def apply_transfers(loads: MonthlyLoads, transfers: TransferVector) -> MonthlyLo
     """
     validate_transfers(loads, transfers)
     return MonthlyLoads(_adjusted(loads.loads, transfers.x))
-
-
-def l1_deviation(loads: MonthlyLoads, mean: MeanLoad) -> Fraction:
-    """Sum of absolute deviations of the monthly loads from the mean."""
-    m = mean.value
-    return sum((abs(Fraction(v) - m) for v in loads.loads), Fraction(0))
-
-
-def squared_deviation(loads: MonthlyLoads, mean: MeanLoad) -> Fraction:
-    """Sum of squared deviations of the monthly loads from the mean."""
-    m = mean.value
-    return sum(((Fraction(v) - m) ** 2 for v in loads.loads), Fraction(0))
-
-
-def quadratic_deviation(loads: MonthlyLoads, transfers: TransferVector, mean: MeanLoad) -> Fraction:
-    """Quadratic deviation evaluated term by term from the transfer values.
-
-    Sums (load_j - mean - x_j + x_{j-1})^2 over the first n-1 months plus
-    (load_n - mean + x_{n-1})^2 for the last one. Equal to
-    squared_deviation of the adjusted loads for every feasible vector.
-    """
-    validate_transfers(loads, transfers)
-    m = mean.value
-    L = loads.loads
-    xs = transfers.x
-    total = Fraction(0)
-    prev = 0
-    for j in range(len(L) - 1):
-        total += (L[j] - m - xs[j] + prev) ** 2
-        prev = xs[j]
-    total += (L[-1] - m + prev) ** 2
-    return total
 
 
 def apply_shift_matrix(plan: AnnualPlan, shifts: ShiftMatrix) -> AnnualPlan:

@@ -72,13 +72,15 @@ class RealizationResult:
 
     achieved holds the hours actually moved per boundary (magnitudes, the
     direction is the sign of the requested transfer); residuals are the
-    uncovered remainders.
+    uncovered remainders. pools holds the donor cells' hours each
+    boundary chose from, in row order, and () where nothing was requested.
     """
 
     shift_matrix: ShiftMatrix
     achieved: tuple[int, ...]
     residuals: tuple[int, ...]
     adjusted_plan: AnnualPlan
+    pools: tuple[tuple[int, ...], ...]
 
 
 def realize_transfers(plan: AnnualPlan, transfers: TransferVector) -> RealizationResult:
@@ -96,28 +98,30 @@ def realize_transfers(plan: AnnualPlan, transfers: TransferVector) -> Realizatio
     marks = [[0] * n for _ in range(k)]
     achieved = []
     residuals = []
+    pools = []
     for b, x in enumerate(transfers.x):
         if x == 0:
             achieved.append(0)
             residuals.append(0)
+            pools.append(())
             continue
         month = b if x > 0 else b + 1
         cap = x if x > 0 else -x
         rows = [i for i in range(k) if plan.entries[i][month] > 0 and marks[i][month] == 0]
-        chosen = subset_select(
-            SelectionProblem(tuple(plan.entries[i][month] for i in rows), cap)
-        )
+        pool = tuple(plan.entries[i][month] for i in rows)
+        chosen = subset_select(SelectionProblem(pool, cap))
         mark = 1 if x > 0 else -1
-        got = 0
         for c in chosen:
             marks[rows[c]][month] = mark
-            got += plan.entries[rows[c]][month]
+        got = sum(pool[c] for c in chosen)
         achieved.append(got)
         residuals.append(cap - got)
+        pools.append(pool)
     shift = ShiftMatrix(tuple(tuple(row) for row in marks))
     return RealizationResult(
         shift_matrix=shift,
         achieved=tuple(achieved),
         residuals=tuple(residuals),
         adjusted_plan=apply_shift_matrix(plan, shift),
+        pools=tuple(pools),
     )

@@ -19,16 +19,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .errors import PlanError, UnsupportedLengthError
-from .plan import (
-    MeanLoad,
-    MonthlyLoads,
-    TransferVector,
-    apply_transfers,
-    l1_deviation,
-    mean_load,
-    squared_deviation,
-    validate_transfers,
-)
+from .plan import MonthlyLoads, TransferVector, apply_transfers, mean_load, validate_transfers
 
 __all__ = [
     "Objective",
@@ -50,13 +41,15 @@ class Objective(str, enum.Enum):
     QUADRATIC = "quadratic"
 
 
-def deviation(loads: MonthlyLoads, mean: MeanLoad, objective: Objective) -> Fraction:
-    """The objective's deviation of a load vector from the mean."""
-    if objective is Objective.L1:
-        return l1_deviation(loads, mean)
-    if objective is Objective.QUADRATIC:
-        return squared_deviation(loads, mean)
-    raise PlanError(f"unknown objective {objective!r}")
+def deviation(loads: MonthlyLoads, objective: Objective) -> Fraction:
+    """The objective's deviation of a load vector from its own mean: the
+    summed absolute (L1) or squared (quadratic) monthly differences.
+
+    Transfers and shifts conserve total hours, so the mean of a leveled
+    vector is the mean of the plan it came from.
+    """
+    cost, scale = _scaled_month_cost(objective, loads.n, loads.total())
+    return Fraction(sum(map(cost, loads.loads)), scale)
 
 
 class Method(str, enum.Enum):
@@ -88,12 +81,13 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# scaled integer costs shared by the exact and splitting routes
+# the objective's per-month cost and the chain DP over it
 # ---------------------------------------------------------------------------
 
 
 def _scaled_month_cost(objective: Objective, n: int, total: int):
-    """Per-month cost as a plain integer.
+    """Per-month cost as a plain integer: the only definition of the
+    objective, shared by deviation, every solver and the oracles.
 
     The deviation of an adjusted load A' from the mean total/n equals
     (n*A' - total)/n, so |.| costs carry a factor n and squared costs a
@@ -122,12 +116,12 @@ def _chain_dp(L, cost, fixed=None):
 
     The state of month j is its inflow x_{j-1}, the flow at boundary j-1,
     in [-L[j], L[j-1]]; month 0's only inflow is 0. Month j costs
-    cost(L[j] + x_{j-1} - x_j), so a backward sweep of suffix minima
-    followed by a forward reconstruction is exact. Reconstruction takes
-    the smallest flow at every stage, which yields the lexicographically
-    smallest optimal vector. `fixed` pins chosen boundaries (0-based) to a
-    single value; a pinned value may make some states dead, tracked as
-    None.
+    cost(L[j] + x_{j-1} - x_j), so a backward sweep of suffix minima is
+    exact. The sweep records each state's smallest best outflow, and the
+    flows follow those records from inflow 0: the smallest flow at every
+    stage, which yields the lexicographically smallest optimal vector.
+    `fixed` pins chosen boundaries (0-based) to a single value; a pinned
+    value may make some states dead, tracked as None.
 
     The sweep is linear in month hours. cost is convex (and +inf below a
     zero load), so every suffix table is convex, stage j's value
@@ -135,7 +129,8 @@ def _chain_dp(L, cost, fixed=None):
     (x, y), and its smallest argmin y never decreases as x grows
     (Topkis). One pointer per stage therefore walks the next table once:
     for each x it resumes at the previous argmin and steps only while
-    that strictly lowers the value. A stage costs O(|dom_j| + |dom_j+1|)
+    that strictly lowers the value, so it stops at the smallest argmin,
+    the flow the sweep records. A stage costs O(|dom_j| + |dom_j+1|)
     evaluations instead of O(|dom_j| * |dom_j+1|). Dead states form a
     prefix of each table, because x is dead exactly when its largest
     affordable outflow lies below the first live y.
@@ -151,20 +146,20 @@ def _chain_dp(L, cost, fixed=None):
             doms.append((v, v))
         else:
             doms.append((-L[b + 1], L[b]))
-    visited = 0
 
-    # suffix[j][x - lo] = least cost of months j..n-1 given inflow x into month j
-    suffix: list[list] = [[] for _ in range(n)]
+    # nxt[y - lo1] = least cost of months j+1..n-1 given inflow y into month j+1
     lo, hi = doms[n - 1]
     last = L[n - 1]
-    suffix[n - 1] = [cost(last + x) for x in range(lo, hi + 1)]
-    visited += hi - lo + 1
+    nxt = [cost(last + x) for x in range(lo, hi + 1)]
+    visited = hi - lo + 1
+    # argmins[j][x - lo] = smallest best outflow of month j given inflow x
+    argmins: list[list] = [[] for _ in range(n - 1)]
     for j in range(n - 2, -1, -1):
         lo, hi = doms[j]
         lo1, hi1 = doms[j + 1]
-        nxt = suffix[j + 1]
         month = L[j]
         vals = []
+        picks = argmins[j]
         i = 0  # argmin index y - lo1; only moves forward
         while i < len(nxt) and nxt[i] is None:
             i += 1
@@ -173,6 +168,7 @@ def _chain_dp(L, cost, fixed=None):
             top = (pool if pool < hi1 else hi1) - lo1  # as an index; outflow past the pool goes negative
             if i > top:
                 vals.append(None)
+                picks.append(None)
                 continue
             rest = pool - lo1
             best = cost(rest - i) + nxt[i]
@@ -185,29 +181,18 @@ def _chain_dp(L, cost, fixed=None):
                 best = c
                 i += 1
             vals.append(best)
-        suffix[j] = vals
+            picks.append(i + lo1)
+        nxt = vals
 
-    best_total = suffix[0][0]
+    best_total = nxt[0]
     if best_total is None:
         raise PlanError("no feasible transfer vector")  # pins that no vector affords together
 
     xs: list[int] = []
-    target = best_total
-    for j in range(1, n):
-        lo, hi = doms[j]
-        pool = L[j - 1] + (xs[-1] if xs else 0)
-        top = pool if pool < hi else hi
-        vals = suffix[j]
-        for x in range(lo, top + 1):
-            v = vals[x - lo]
-            if v is None:
-                continue
-            if cost(pool - x) + v == target:
-                xs.append(x)
-                target = v
-                break
-        else:
-            raise AssertionError("suffix table and reconstruction disagree")
+    x = 0
+    for j in range(n - 1):
+        x = argmins[j][x - doms[j][0]]
+        xs.append(x)
     return best_total, tuple(xs), visited
 
 
@@ -256,8 +241,7 @@ def solve_greedy(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> 
     n = len(L)
     if n < 2:
         raise PlanError("leveling needs at least two months")
-    mean = mean_load(loads)
-    m = mean.value
+    m = mean_load(loads)
     xs = []
     carry = 0  # signed flow chosen at the previous boundary
     for b in range(n - 1):
@@ -272,7 +256,7 @@ def solve_greedy(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> 
         xs.append(x)
         carry = x
     transfers = TransferVector(tuple(xs))
-    value = deviation(apply_transfers(loads, transfers), mean, config.objective)  # validates on the way
+    value = deviation(apply_transfers(loads, transfers), config.objective)  # validates on the way
     return SolveResult(transfers, value, Method.GREEDY.value, False, n - 1)
 
 
@@ -293,24 +277,15 @@ def solve_bisection(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) 
     cost, scale = _scaled_month_cost(config.objective, n, total)
     q, mid = n // 4, n // 2
 
-    if config.objective is Objective.L1:
-
-        def pair(a: int, b: int) -> int:
-            return (a if a >= 0 else -a) + (b if b >= 0 else -b)
-
-    else:
-
-        def pair(a: int, b: int) -> int:
-            return a * a + b * b
-
     def split(start: int, cut: int, stop: int, inflow: int, outflow: int, parts: int) -> tuple[int, int]:
         # smallest flow at boundary cut-1 that best balances months
-        # start..cut-1 against cut..stop-1, each around total/parts (x parts);
-        # returns it with the scan size
+        # start..cut-1 against cut..stop-1, each costed as one month of a
+        # parts-month year; returns it with the scan size
+        part_cost, _ = _scaled_month_cost(config.objective, parts, total)
         left = sum(L[start:cut]) + inflow
         right = sum(L[cut:stop]) - outflow
         flows = range(-L[cut], L[cut - 1] + 1)
-        v = min(flows, key=lambda v: pair(parts * (left - v) - total, parts * (right + v) - total))
+        v = min(flows, key=lambda v: part_cost(left - v) + part_cost(right + v))
         return v, len(flows)
 
     v_mid, scan1 = split(0, mid, n, 0, 0, 2)
@@ -472,5 +447,5 @@ def standard_form(loads: MonthlyLoads) -> StandardFormQP:
             linear=sub_linear,
             quadratic=tuple(tuple(r) for r in Q),
         ),
-        constant_offset=sum((a * a for a in ahat), Fraction(0)),
+        constant_offset=deviation(loads, Objective.QUADRATIC),
     )

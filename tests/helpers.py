@@ -5,8 +5,9 @@ reproducible from its seed alone.
 """
 
 import random
+from fractions import Fraction
 
-from repair_leveler import AnnualPlan, MonthlyLoads, PlanError, TransferVector
+from repair_leveler import AnnualPlan, MonthlyLoads, Objective, PlanError, TransferVector
 
 # The transfer oracle enumerates every boundary flow, so random sweeps
 # must shrink the load range as the month count grows.
@@ -54,6 +55,15 @@ def sweep_instances(seed: int, count: int) -> list[MonthlyLoads]:
         n = rng.randint(2, 6)
         out.append(random_loads(rng, n, SWEEP_LOAD_CAP[n]))
     return out
+
+
+def direct_deviation(loads: MonthlyLoads, objective: Objective) -> Fraction:
+    """Reference for solvers.deviation: the summed absolute or squared
+    differences from the mean, written out in Fraction arithmetic."""
+    mean = Fraction(loads.total(), loads.n)
+    if objective is Objective.L1:
+        return sum((abs(v - mean) for v in loads.loads), Fraction(0))
+    return sum(((v - mean) ** 2 for v in loads.loads), Fraction(0))
 
 
 def quadratic_chain_dp(L, cost, fixed=None):

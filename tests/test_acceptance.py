@@ -23,14 +23,11 @@ from repair_leveler import (
     brute_force_subset,
     brute_force_transfers,
     column_sums,
-    l1_deviation,
     mean_load,
-    quadratic_deviation,
     realize_transfers,
     solve_bisection,
     solve_exact,
     solve_greedy,
-    squared_deviation,
     standard_form,
     subset_select,
     validate_transfers,
@@ -38,6 +35,7 @@ from repair_leveler import (
 from helpers import (
     GOLDEN_LOADS,
     GOLDEN_PLAN,
+    direct_deviation,
     random_feasible_transfers,
     random_loads,
     random_plan,
@@ -66,13 +64,13 @@ def test_acceptance_1_golden_apply_path():
     def apply_path():
         moved = apply_shift_matrix(GOLDEN_PLAN, GOLDEN_SHIFTS)
         sums = column_sums(moved)
-        return moved, sums, l1_deviation(sums, mean_load(sums))
+        return moved, sums, direct_deviation(sums, Objective.L1)
 
     moved, sums, dev = apply_path()
     ok = (
         sums.loads == (48, 44, 48, 45)
         and moved.total_hours() == 185
-        and mean_load(sums).value == Fraction(185, 4)
+        and mean_load(sums) == Fraction(185, 4)
         and dev == 7
     )
     # warm best-of-5 timing
@@ -157,14 +155,13 @@ def test_acceptance_6_standard_form_identity():
     for _ in range(100):
         loads = random_loads(rng, rng.randint(2, 8), 50)
         qp = standard_form(loads)
-        mean = mean_load(loads)
-        offset = squared_deviation(loads, mean)
+        offset = direct_deviation(loads, Objective.QUADRATIC)
         if qp.constant_offset != offset:
             bad += 1
             continue
         for _ in range(100):
             x = random_feasible_transfers(rng, loads)
-            v = quadratic_deviation(loads, x, mean)
+            v = direct_deviation(apply_transfers(loads, x), Objective.QUADRATIC)
             if qp.objective_z(x.x) + v != offset:
                 bad += 1
     _verdict(6, bad == 0, f"violations={bad}")
@@ -185,10 +182,9 @@ def test_acceptance_8_pipeline_vs_shift_oracle():
         n = rng.randint(2, 4)
         plan = random_plan(rng, k, n, 4)
         loads = column_sums(plan)
-        mean = mean_load(loads)
         result = solve_exact(loads)
         real = realize_transfers(plan, result.transfers)
-        realized = l1_deviation(column_sums(real.adjusted_plan), mean)
+        realized = direct_deviation(column_sums(real.adjusted_plan), Objective.L1)
         _, oracle_best = brute_force_shifts(plan, Objective.L1)
         if realized < oracle_best:
             bad.append((i, plan.entries, "beat the exhaustive shift search"))

@@ -184,6 +184,20 @@ def test_shifts_only_verify_checks_each_boundary(golden_csv: Path, tmp_path: Pat
     assert doc["oracle"]["match"] is True
 
 
+def test_shifts_only_verify_skips_cells_claimed_backward(golden_csv: Path, tmp_path: Path):
+    # boundary 1 pulls month 2's 1-hour cell back; boundary 2's forward
+    # pool is then 20, 8 and 11, and none of them fits under 3
+    out = tmp_path / "out"
+    cp = run_cli(
+        "--input", str(golden_csv), "--output-dir", str(out),
+        "--shifts-only", "--transfers", "-3,3,0", "--verify",
+    )
+    assert cp.returncode == 0, cp.stderr
+    doc = json.loads((out / "report.json").read_text())
+    assert [entry["best_achievable"] for entry in doc["oracle"]["boundaries"]] == [1, 0]
+    assert doc["oracle"]["match"] is True
+
+
 def test_months_flag_validates(golden_csv: Path, tmp_path: Path):
     out = tmp_path / "out"
     ok = run_cli("--input", str(golden_csv), "--output-dir", str(out), "--months", "4")
@@ -191,6 +205,19 @@ def test_months_flag_validates(golden_csv: Path, tmp_path: Path):
     bad = run_cli("--input", str(golden_csv), "--output-dir", str(out), "--months", "12")
     assert bad.returncode == 2
     assert "12" in bad.stderr
+
+
+# int() reads "1_2", Arabic-Indic digits and "+12" as 12; no plan has 0,
+# 1 or -4 months
+@pytest.mark.parametrize("months", ["1_2", "\u0661\u0662", "+12", "0", "1", "-4"])
+def test_months_flag_is_a_month_count(months: str, tmp_path: Path):
+    plan = tmp_path / "plan.csv"
+    plan.write_text(",".join(["1"] * 12) + "\n")
+    out = tmp_path / "out"
+    cp = run_cli("--input", str(plan), "--output-dir", str(out), "--months", months)
+    assert cp.returncode == 4, cp.stderr
+    assert "--months" in cp.stderr
+    assert not out.exists()
 
 
 def test_exit_parse_errors(tmp_path: Path):
@@ -273,28 +300,21 @@ def test_report_honesty_against_emitted_files(golden_csv: Path, tmp_path: Path):
     # sitting next to it
     from fractions import Fraction
 
-    from repair_leveler import (
-        apply_shift_matrix,
-        column_sums,
-        l1_deviation,
-        mean_load,
-        parse_plan,
-        squared_deviation,
-    )
+    from helpers import direct_deviation
+    from repair_leveler import Objective, apply_shift_matrix, column_sums, parse_plan
 
-    for objective, metric in (("l1", l1_deviation), ("quadratic", squared_deviation)):
-        out = tmp_path / objective
+    for objective in Objective:
+        out = tmp_path / objective.value
         cp = run_cli(
             "--input", str(golden_csv), "--output-dir", str(out),
-            "--objective", objective,
+            "--objective", objective.value,
         )
         assert cp.returncode == 0
         doc = json.loads((out / "report.json").read_text())
         original = parse_plan(golden_csv)
         emitted = parse_plan(out / "adjusted_plan.csv")
-        mean = mean_load(column_sums(original))
-        assert metric(column_sums(original), mean) == Fraction(doc["objective_before"])
-        assert metric(column_sums(emitted), mean) == Fraction(doc["objective_realized"])
+        assert direct_deviation(column_sums(original), objective) == Fraction(doc["objective_before"])
+        assert direct_deviation(column_sums(emitted), objective) == Fraction(doc["objective_realized"])
         # the emitted shift matrix reproduces the emitted plan
         shifts_rows = (out / "shifts.csv").read_text().splitlines()[1:]
         from repair_leveler import ShiftMatrix

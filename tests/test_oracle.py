@@ -16,13 +16,10 @@ from repair_leveler import (
     brute_force_subset,
     brute_force_transfers,
     column_sums,
-    l1_deviation,
-    mean_load,
-    squared_deviation,
     subset_select,
     validate_transfers,
 )
-from helpers import GOLDEN_LOADS, random_loads
+from helpers import GOLDEN_LOADS, direct_deviation, random_loads
 
 
 def test_transfer_oracle_golden():
@@ -111,23 +108,21 @@ def test_shift_oracle_value_matches_apply_path():
         plan = AnnualPlan(tuple(
             tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(2)
         ))
-        mean = mean_load(column_sums(plan))
-        for objective, metric in ((Objective.L1, l1_deviation), (Objective.QUADRATIC, squared_deviation)):
+        for objective in Objective:
             matrix, value = brute_force_shifts(plan, objective)
             moved = apply_shift_matrix(plan, matrix)
-            assert metric(column_sums(moved), mean) == value
+            assert direct_deviation(column_sums(moved), objective) == value
 
 
 def test_transfer_oracle_value_matches_plan_metric():
-    # the oracle scores with the solvers' scaled integer cost; the exact
-    # Fraction metrics of plan.py must agree at the vector it returns
+    # the oracle scores with the solvers' scaled integer cost; the plain
+    # Fraction reference must agree at the vector it returns
     rng = random.Random(9)
     for _ in range(100):
         loads = random_loads(rng, rng.randint(2, 5), 12)
-        mean = mean_load(loads)
-        for objective, metric in ((Objective.L1, l1_deviation), (Objective.QUADRATIC, squared_deviation)):
+        for objective in Objective:
             result = brute_force_transfers(loads, objective)
-            assert result.objective_value == metric(apply_transfers(loads, result.transfers), mean)
+            assert result.objective_value == direct_deviation(apply_transfers(loads, result.transfers), objective)
 
 
 def test_shift_oracle_cell_cap():

@@ -2,13 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repair_leveler import (
     AnnualPlan,
     BoundViolationError,
     FeasibilityError,
-    MeanLoad,
     MonthlyLoads,
     Objective,
     PlanError,
@@ -20,13 +19,12 @@ from repair_leveler import (
     apply_transfers,
     column_sums,
     deviation,
-    l1_deviation,
     mean_load,
-    quadratic_deviation,
-    squared_deviation,
     validate_transfers,
 )
-from helpers import GOLDEN_LOADS, GOLDEN_PLAN, random_feasible_transfers, random_loads
+from helpers import GOLDEN_LOADS, GOLDEN_PLAN, direct_deviation, random_feasible_transfers, random_loads
+
+L1, QD = Objective.L1, Objective.QUADRATIC
 
 
 def test_column_sums_golden():
@@ -46,13 +44,10 @@ def test_mean_load_is_exact_and_unreduced():
     mean = mean_load(GOLDEN_LOADS)
     assert mean.numerator == 185
     assert mean.denominator == 4
-    assert mean.value == Fraction(185, 4)
-    # even-divisor case keeps the raw numerator and denominator
-    m2 = mean_load(MonthlyLoads((6, 6)))
-    assert (m2.numerator, m2.denominator) == (12, 2)
-    assert m2.value == 6
-    assert mean_load(MonthlyLoads((7, 7, 7))).value == 7
-    assert mean_load(MonthlyLoads((0, 0, 0, 0))).value == 0
+    assert mean == Fraction(185, 4)
+    assert mean_load(MonthlyLoads((6, 6))) == 6
+    assert mean_load(MonthlyLoads((7, 7, 7))) == 7
+    assert mean_load(MonthlyLoads((0, 0, 0, 0))) == 0
 
 
 def test_plan_rejects_bad_shapes():
@@ -85,11 +80,6 @@ def test_transfer_vector_validation():
     with pytest.raises(PlanError):
         TransferVector((1, 0.5))
     assert TransferVector((0, -3)).x == (0, -3)
-
-
-def test_mean_load_rejects_zero_denominator():
-    with pytest.raises(PlanError):
-        MeanLoad(5, 0)
 
 
 def test_apply_transfers_golden():
@@ -143,22 +133,21 @@ def test_validate_negative_month():
 
 
 def test_l1_deviation_golden():
-    mean = mean_load(GOLDEN_LOADS)
-    assert l1_deviation(GOLDEN_LOADS, mean) == 17
+    assert deviation(GOLDEN_LOADS, L1) == 17
     adjusted = apply_transfers(GOLDEN_LOADS, TransferVector((4, -2, -4)))
-    assert l1_deviation(adjusted, mean) == Fraction(3, 2)
+    assert deviation(adjusted, L1) == Fraction(3, 2)
 
 
 def test_deviation_zero_iff_level():
     level = MonthlyLoads((7, 7))
-    assert l1_deviation(level, mean_load(level)) == 0
+    assert deviation(level, L1) == 0
     uniform = MonthlyLoads((7, 7, 7))
-    assert quadratic_deviation(uniform, TransferVector((0, 0)), mean_load(uniform)) == 0
+    assert direct_deviation(apply_transfers(uniform, TransferVector((0, 0))), QD) == 0
     # any unequal month forces a strictly positive deviation
     rng = random.Random(19)
     for _ in range(100):
         loads = random_loads(rng, rng.randint(2, 6), 20)
-        dev = l1_deviation(loads, mean_load(loads))
+        dev = deviation(loads, L1)
         if len(set(loads.loads)) == 1:
             assert dev == 0
         else:
@@ -167,43 +156,38 @@ def test_deviation_zero_iff_level():
 
 def test_squared_deviation_matches_definition():
     mean = mean_load(GOLDEN_LOADS)
-    direct = sum((Fraction(v) - mean.value) ** 2 for v in GOLDEN_LOADS.loads)
-    assert squared_deviation(GOLDEN_LOADS, mean) == direct == Fraction(323, 4)
+    direct = sum((Fraction(v) - mean) ** 2 for v in GOLDEN_LOADS.loads)
+    assert deviation(GOLDEN_LOADS, QD) == direct == Fraction(323, 4)
 
 
 def test_quadratic_deviation_golden():
-    mean = mean_load(GOLDEN_LOADS)
     zero = TransferVector((0, 0, 0))
-    assert quadratic_deviation(GOLDEN_LOADS, zero, mean) == Fraction(323, 4)
-    assert quadratic_deviation(GOLDEN_LOADS, TransferVector((4, -2, -4)), mean) == Fraction(3, 4)
+    assert direct_deviation(apply_transfers(GOLDEN_LOADS, zero), QD) == Fraction(323, 4)
+    assert direct_deviation(apply_transfers(GOLDEN_LOADS, TransferVector((4, -2, -4))), QD) == Fraction(3, 4)
 
 
 def test_quadratic_equals_squared_deviation_of_adjusted():
-    # the boundary-by-boundary accumulation must equal the plain
+    # the scaled integer cost must equal the plain Fraction
     # sum-of-squares of the adjusted loads, whatever the flows are
     rng = random.Random(20260817)
     for _ in range(1000):
         loads = random_loads(rng, rng.randint(2, 7), 25)
         x = random_feasible_transfers(rng, loads)
-        mean = mean_load(loads)
         adjusted = apply_transfers(loads, x)
-        assert quadratic_deviation(loads, x, mean) == squared_deviation(adjusted, mean)
+        assert direct_deviation(adjusted, QD) == deviation(adjusted, QD)
 
 
 def test_metrics_are_repeatable():
-    mean = mean_load(GOLDEN_LOADS)
-    x = TransferVector((4, -2, -4))
-    assert l1_deviation(GOLDEN_LOADS, mean) == l1_deviation(GOLDEN_LOADS, mean)
-    assert quadratic_deviation(GOLDEN_LOADS, x, mean) == quadratic_deviation(GOLDEN_LOADS, x, mean)
+    adjusted = apply_transfers(GOLDEN_LOADS, TransferVector((4, -2, -4)))
+    assert deviation(GOLDEN_LOADS, L1) == deviation(GOLDEN_LOADS, L1)
+    assert deviation(adjusted, QD) == deviation(adjusted, QD)
 
 
-def test_deviation_metrics_consistency():
-    rng = random.Random(7)
-    for _ in range(1000):
-        loads = random_loads(rng, rng.randint(2, 8), 40)
-        mean = mean_load(loads)
-        assert deviation(loads, mean, Objective.L1) == l1_deviation(loads, mean)
-        assert deviation(loads, mean, Objective.QUADRATIC) == squared_deviation(loads, mean)
+@settings(max_examples=300)
+@given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=12), st.sampled_from(Objective))
+def test_deviation_metrics_consistency(hours, objective):
+    loads = MonthlyLoads(tuple(hours))
+    assert deviation(loads, objective) == direct_deviation(loads, objective)
 
 
 def test_deviation_denominators():
@@ -213,9 +197,8 @@ def test_deviation_denominators():
     for _ in range(200):
         n = rng.randint(2, 9)
         loads = random_loads(rng, n, 30)
-        mean = mean_load(loads)
-        assert (deviation(loads, mean, Objective.L1) * n).denominator == 1
-        assert (deviation(loads, mean, Objective.QUADRATIC) * n * n).denominator == 1
+        assert (deviation(loads, L1) * n).denominator == 1
+        assert (deviation(loads, QD) * n * n).denominator == 1
 
 
 @st.composite
@@ -246,9 +229,8 @@ def test_transfers_conserve_total(pair):
 @given(loads_and_transfers())
 def test_leveling_never_hurts_below_zero(pair):
     loads, x = pair
-    mean = mean_load(loads)
-    assert quadratic_deviation(loads, x, mean) >= 0
-    assert l1_deviation(apply_transfers(loads, x), mean) >= 0
+    assert direct_deviation(apply_transfers(loads, x), QD) >= 0
+    assert deviation(apply_transfers(loads, x), L1) >= 0
 
 
 def test_shift_matrix_value_validation():
@@ -278,7 +260,7 @@ def test_apply_shift_matrix_golden():
     sums = column_sums(moved)
     assert sums.loads == (48, 44, 48, 45)
     assert moved.total_hours() == 185
-    assert l1_deviation(sums, mean_load(GOLDEN_LOADS)) == 7
+    assert deviation(sums, L1) == 7
 
 
 def test_apply_shift_matrix_moves_whole_cells():

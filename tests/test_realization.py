@@ -118,6 +118,7 @@ def test_realize_excludes_cells_already_moved():
     assert real.achieved == (4, 0)
     assert real.residuals == (0, 4)
     assert real.shift_matrix.shifts == ((0, 0, 0), (0, -1, 0))
+    assert real.pools == ((5, 4), (5,))
 
 
 def test_realize_forward_then_forward_uses_fresh_cells():

@@ -17,13 +17,9 @@ from repair_leveler import (
     brute_force_transfers,
     column_sums,
     deviation,
-    l1_deviation,
-    mean_load,
-    quadratic_deviation,
     solve_bisection,
     solve_exact,
     solve_greedy,
-    squared_deviation,
     standard_form,
     validate_transfers,
 )
@@ -31,6 +27,7 @@ from repair_leveler.solvers import _chain_dp, _scaled_month_cost
 from helpers import (
     GOLDEN_LOADS,
     SWEEP_LOAD_CAP,
+    direct_deviation,
     quadratic_chain_dp,
     random_feasible_transfers,
     random_loads,
@@ -41,10 +38,7 @@ QUAD = SolverConfig(objective=Objective.QUADRATIC)
 
 
 def _metric(loads, x, objective):
-    mean = mean_load(loads)
-    if objective is Objective.L1:
-        return l1_deviation(apply_transfers(loads, x), mean)
-    return quadratic_deviation(loads, x, mean)
+    return direct_deviation(apply_transfers(loads, x), objective)
 
 
 def test_exact_l1_golden():
@@ -180,6 +174,35 @@ def test_bisection_dominates_exact():
             assert heur.objective_value >= best.objective_value
 
 
+def _split_reference(L, objective):
+    # bisection's three pinned flows, each the smallest flow in its donor
+    # range that best balances the two sides around total/parts, in
+    # Fraction arithmetic
+    g = abs if objective is Objective.L1 else (lambda d: d * d)
+    n, total = len(L), sum(L)
+    q, mid = n // 4, n // 2
+
+    def split(start, cut, stop, inflow, outflow, parts):
+        left = sum(L[start:cut]) + inflow
+        right = sum(L[cut:stop]) - outflow
+        share = Fraction(total, parts)
+        return min(range(-L[cut], L[cut - 1] + 1), key=lambda v: g(left - v - share) + g(right + v - share))
+
+    v_mid = split(0, mid, n, 0, 0, 2)
+    return {mid - 1: v_mid, q - 1: split(0, q, mid, 0, v_mid, 4), 3 * q - 1: split(mid, 3 * q, n, v_mid, 0, 4)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((4, 8, 12)).flatmap(lambda n: st.lists(st.integers(0, 60), min_size=n, max_size=n)),
+    st.sampled_from(Objective),
+)
+def test_bisection_split_flows_match_fraction_reference(hours, objective):
+    result = solve_bisection(MonthlyLoads(tuple(hours)), SolverConfig(objective))
+    for b, v in _split_reference(hours, objective).items():
+        assert result.transfers.x[b] == v
+
+
 def test_bisection_uniform_year_stays_put():
     result = solve_bisection(MonthlyLoads((10,) * 12))
     assert result.transfers.x == (0,) * 11
@@ -243,7 +266,7 @@ _UNEVEN = MonthlyLoads((10, 0, 0, 30))
     "call",
     [
         lambda: brute_force_transfers(_UNEVEN, "l1"),
-        lambda: deviation(_UNEVEN, mean_load(_UNEVEN), "l1"),
+        lambda: deviation(_UNEVEN, "l1"),
         lambda: brute_force_shifts(AnnualPlan((_UNEVEN.loads,)), "l1"),
     ],
     ids=["brute_force_transfers", "deviation", "brute_force_shifts"],
@@ -307,12 +330,11 @@ def test_standard_form_identity_quick():
     for _ in range(50):
         loads = random_loads(rng, rng.randint(2, 7), 40)
         qp = standard_form(loads)
-        mean = mean_load(loads)
-        offset = squared_deviation(loads, mean)
+        offset = direct_deviation(loads, Objective.QUADRATIC)
         assert qp.constant_offset == offset
         for _ in range(20):
             x = random_feasible_transfers(rng, loads)
-            v = quadratic_deviation(loads, x, mean)
+            v = direct_deviation(apply_transfers(loads, x), Objective.QUADRATIC)
             assert qp.objective_z(x.x) + v == offset
 
 
@@ -322,11 +344,10 @@ def test_standard_form_identity_dense():
     for _ in range(5):
         loads = random_loads(rng, rng.randint(2, 8), 60)
         qp = standard_form(loads)
-        mean = mean_load(loads)
-        offset = squared_deviation(loads, mean)
+        offset = direct_deviation(loads, Objective.QUADRATIC)
         for _ in range(1000):
             x = random_feasible_transfers(rng, loads)
-            assert qp.objective_z(x.x) + quadratic_deviation(loads, x, mean) == offset
+            assert qp.objective_z(x.x) + direct_deviation(apply_transfers(loads, x), Objective.QUADRATIC) == offset
 
 
 def test_standard_form_slack_values():
