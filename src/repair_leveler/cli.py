@@ -15,16 +15,7 @@ from .io import _INTEGER, build_report, parse_plan, render_report, write_plan, w
 from .oracle import DEFAULT_BUDGET, brute_force_subset, brute_force_transfers
 from .plan import TransferVector, apply_transfers, column_sums, mean_load
 from .realization import RealizationResult, SelectionProblem, realize_transfers
-from .solvers import (
-    Method,
-    Objective,
-    SolveResult,
-    SolverConfig,
-    deviation,
-    solve_bisection,
-    solve_exact,
-    solve_greedy,
-)
+from .solvers import Objective, SolveResult, SolverConfig, deviation, solve_bisection, solve_exact, solve_greedy
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -63,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--input", required=True, help="plan CSV: one row per equipment item, one integer column per month")
     parser.add_argument("--output-dir", default=".", help="where adjusted_plan.csv, shifts.csv and report.json go (default: current directory)")
-    parser.add_argument("--method", choices=[m.value for m in Method], default=Method.EXACT.value, help="transfer solver (default: exact)")
+    parser.add_argument("--method", choices=("exact", "bisection", "greedy"), default="exact", help="transfer solver (default: exact)")
     parser.add_argument("--objective", choices=[o.value for o in Objective], default=Objective.L1.value, help="deviation metric to minimize (default: l1)")
     parser.add_argument("--months", type=_month_count, default=None, help="validate that the plan has exactly this many months")
     parser.add_argument("--verify", action="store_true", help="cross-check the result against the exhaustive reference search")
@@ -88,16 +79,16 @@ def _joined_transfers(argv: list[str]) -> list[str]:
     return out
 
 
-def _solve(loads, objective: Objective, method: Method) -> tuple[SolveResult, str | None]:
+def _solve(loads, objective: Objective, method: str) -> tuple[SolveResult, str | None]:
     config = SolverConfig(objective)
-    if method is Method.GREEDY:
+    if method == "greedy":
         return solve_greedy(loads, config), None
-    if method is Method.BISECTION:
+    if method == "bisection":
         try:
             return solve_bisection(loads, config), None
         except UnsupportedLengthError:
             # splitting is only defined for quarter-structured years
-            return solve_exact(loads, config), Method.BISECTION.value
+            return solve_exact(loads, config), method
     return solve_exact(loads, config), None
 
 
@@ -152,7 +143,7 @@ def _run(args) -> int:
         after = deviation(apply_transfers(loads, transfers), objective)
         result = SolveResult(transfers, after, "supplied-transfers", False, 0)
     else:
-        result, requested_method = _solve(loads, objective, Method(args.method))
+        result, requested_method = _solve(loads, objective, args.method)
 
     realization = realize_transfers(plan, result.transfers)
 
@@ -187,13 +178,16 @@ def _run(args) -> int:
     return EXIT_OK
 
 
+_PARSER = build_parser()  # parsing leaves it unchanged, so every call shares it
+
+
 def run_pipeline(argv=None) -> int:
     """Parse flags, run the full pipeline, and return the exit status.
 
     Equivalent to invoking the command line; output files land in the
     requested directory and diagnostics go to stderr.
     """
-    parser = build_parser()
+    parser = _PARSER
     args = parser.parse_args(_joined_transfers(sys.argv[1:] if argv is None else list(argv)))
     if args.shifts_only and args.transfers is None:
         parser.error("--shifts-only requires --transfers")
@@ -210,7 +204,3 @@ def run_pipeline(argv=None) -> int:
     except LevelingError as exc:  # every other package error is a constraint violation
         print(f"repair-leveler: infeasible: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
-
-
-if __name__ == "__main__":
-    sys.exit(run_pipeline())

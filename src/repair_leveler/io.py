@@ -45,9 +45,9 @@ def _int_like(cell: str) -> bool:
 def _parse_rows(rows: list[list[str]]) -> AnnualPlan:
     cleaned: list[tuple[int, list[str]]] = []  # (1-based file row, cells)
     for lineno, row in enumerate(rows, start=1):
-        if not row:
-            continue  # blank line
-        cleaned.append((lineno, [cell.strip() for cell in row]))
+        cells = [cell.strip() for cell in row]
+        if any(cells):  # a row of only blank cells is a blank line, never a header
+            cleaned.append((lineno, cells))
     if not cleaned:
         raise PlanParseError("plan file holds no rows")
 
@@ -93,9 +93,10 @@ def parse_plan(source: str | Path | IO[str]) -> AnnualPlan:
 
     One row per equipment item, one integer column per month; a cell is
     ASCII digits with an optional leading "-" (negatives are rejected as
-    such). A header row is optional: the first row is one when none of
-    its cells is a number to int(), so a first row such as "+5,+6" is
-    data and fails at its first cell. A path is read as UTF-8; one
+    such). A row whose cells are all blank is skipped wherever it is, as
+    an empty line is. A header row is optional: the first row is one when
+    none of its cells is a number to int(), so a first row such as
+    "+5,+6" is data and fails at its first cell. A path is read as UTF-8; one
     leading byte-order mark is dropped from a path or a stream alike.
     Raises PlanParseError with the 1-based row/column on malformed input,
     including unreadable paths and bytes that are not UTF-8.

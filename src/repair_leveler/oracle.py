@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, PlanError
+from .errors import BudgetExceededError
 from .plan import AnnualPlan, MonthlyLoads, ShiftMatrix, TransferVector, column_sums
 from .realization import SelectionProblem
 from .solvers import Objective, SolveResult, _scaled_month_cost
@@ -56,8 +56,6 @@ def brute_force_transfers(
     """
     L = loads.loads
     n = len(L)
-    if n < 2:
-        raise PlanError("leveling needs at least two months")
     if n > budget.max_months:
         raise BudgetExceededError(f"transfer search accepts up to {budget.max_months} months, got {n}")
     top_load = max(L)

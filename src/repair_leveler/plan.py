@@ -77,14 +77,14 @@ class AnnualPlan:
 
 @dataclass(frozen=True)
 class MonthlyLoads:
-    """Total repair hours per month."""
+    """Total repair hours per month, for at least two months."""
 
     loads: tuple[int, ...]
 
     def __post_init__(self):
         loads = tuple(self.loads)
-        if not loads:
-            raise PlanError("need at least one month")
+        if len(loads) < 2:
+            raise PlanError("monthly loads need at least two months")
         for j, v in enumerate(loads):
             _check_hours(v, f"month {j + 1} load")
         object.__setattr__(self, "loads", loads)

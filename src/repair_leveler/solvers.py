@@ -24,7 +24,6 @@ from .plan import MonthlyLoads, TransferVector, apply_transfers, mean_load, vali
 __all__ = [
     "Objective",
     "deviation",
-    "Method",
     "SolverConfig",
     "SolveResult",
     "StandardFormQP",
@@ -50,12 +49,6 @@ def deviation(loads: MonthlyLoads, objective: Objective) -> Fraction:
     """
     cost, scale = _scaled_month_cost(objective, loads.n, loads.total())
     return Fraction(sum(map(cost, loads.loads)), scale)
-
-
-class Method(str, enum.Enum):
-    EXACT = "exact"
-    BISECTION = "bisection"
-    GREEDY = "greedy"
 
 
 @dataclass(frozen=True)
@@ -120,8 +113,10 @@ def _chain_dp(L, cost, fixed=None):
     exact. The sweep records each state's smallest best outflow, and the
     flows follow those records from inflow 0: the smallest flow at every
     stage, which yields the lexicographically smallest optimal vector.
-    `fixed` pins chosen boundaries (0-based) to a single value; a pinned
-    value may make some states dead, tracked as None.
+    `fixed` pins chosen boundaries (0-based) to a single value. Each stage
+    first raises its inflow bound until every inflow can pay the next
+    month's smallest one, so no table holds a state without an outflow;
+    a bound raised past its top means no vector affords the pins.
 
     The sweep is linear in month hours. cost is convex (and +inf below a
     zero load), so every suffix table is convex, stage j's value
@@ -131,9 +126,9 @@ def _chain_dp(L, cost, fixed=None):
     for each x it resumes at the previous argmin and steps only while
     that strictly lowers the value, so it stops at the smallest argmin,
     the flow the sweep records. A stage costs O(|dom_j| + |dom_j+1|)
-    evaluations instead of O(|dom_j| * |dom_j+1|). Dead states form a
-    prefix of each table, because x is dead exactly when its largest
-    affordable outflow lies below the first live y.
+    evaluations instead of O(|dom_j| * |dom_j+1|). The pointer never
+    passes an inflow's largest affordable outflow, because both only
+    move forward and the raised bound makes the first one affordable.
 
     Returns (best scaled cost, flows tuple, cost evaluations in the
     backward sweep).
@@ -153,23 +148,23 @@ def _chain_dp(L, cost, fixed=None):
     nxt = [cost(last + x) for x in range(lo, hi + 1)]
     visited = hi - lo + 1
     # argmins[j][x - lo] = smallest best outflow of month j given inflow x
-    argmins: list[list] = [[] for _ in range(n - 1)]
+    argmins: list[list[int]] = [[] for _ in range(n - 1)]
     for j in range(n - 2, -1, -1):
-        lo, hi = doms[j]
         lo1, hi1 = doms[j + 1]
         month = L[j]
+        # an inflow below lo1 - month leaves month j too few hours to pay lo1
+        lo, hi = doms[j]
+        if lo < lo1 - month:
+            lo = lo1 - month
+        if lo > hi:
+            raise PlanError("no feasible transfer vector")  # pins that no vector affords together
+        doms[j] = (lo, hi)
         vals = []
         picks = argmins[j]
         i = 0  # argmin index y - lo1; only moves forward
-        while i < len(nxt) and nxt[i] is None:
-            i += 1
         for x in range(lo, hi + 1):
             pool = month + x  # hours in month j before its own outflow
             top = (pool if pool < hi1 else hi1) - lo1  # as an index; outflow past the pool goes negative
-            if i > top:
-                vals.append(None)
-                picks.append(None)
-                continue
             rest = pool - lo1
             best = cost(rest - i) + nxt[i]
             visited += 1
@@ -184,16 +179,12 @@ def _chain_dp(L, cost, fixed=None):
             picks.append(i + lo1)
         nxt = vals
 
-    best_total = nxt[0]
-    if best_total is None:
-        raise PlanError("no feasible transfer vector")  # pins that no vector affords together
-
     xs: list[int] = []
     x = 0
     for j in range(n - 1):
         x = argmins[j][x - doms[j][0]]
         xs.append(x)
-    return best_total, tuple(xs), visited
+    return nxt[0], tuple(xs), visited
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +204,11 @@ def solve_exact(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> S
     inflow state.
     """
     L = loads.loads
-    if len(L) < 2:
-        raise PlanError("leveling needs at least two months")
     cost, scale = _scaled_month_cost(config.objective, len(L), sum(L))
     best, xs, visited = _chain_dp(L, cost)
     transfers = TransferVector(xs)
     validate_transfers(loads, transfers)  # contract check on the way out
-    return SolveResult(transfers, Fraction(best, scale), Method.EXACT.value, True, visited)
+    return SolveResult(transfers, Fraction(best, scale), "exact", True, visited)
 
 
 def _round_half_toward_zero(value: Fraction) -> int:
@@ -239,8 +228,6 @@ def solve_greedy(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> 
     """
     L = loads.loads
     n = len(L)
-    if n < 2:
-        raise PlanError("leveling needs at least two months")
     m = mean_load(loads)
     xs = []
     carry = 0  # signed flow chosen at the previous boundary
@@ -257,7 +244,7 @@ def solve_greedy(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> 
         carry = x
     transfers = TransferVector(tuple(xs))
     value = deviation(apply_transfers(loads, transfers), config.objective)  # validates on the way
-    return SolveResult(transfers, value, Method.GREEDY.value, False, n - 1)
+    return SolveResult(transfers, value, "greedy", False, n - 1)
 
 
 def solve_bisection(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> SolveResult:
@@ -271,7 +258,7 @@ def solve_bisection(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) 
     """
     L = loads.loads
     n = len(L)
-    if n < 4 or n % 4 != 0:
+    if n % 4 != 0:
         raise UnsupportedLengthError(f"splitting needs a month count divisible by 4, got {n}")
     total = sum(L)
     cost, scale = _scaled_month_cost(config.objective, n, total)
@@ -299,7 +286,7 @@ def solve_bisection(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) 
     return SolveResult(
         transfers,
         Fraction(best, scale),
-        Method.BISECTION.value,
+        "bisection",
         False,
         visited + scan1 + scan2 + scan3,
     )
@@ -387,8 +374,6 @@ def standard_form(loads: MonthlyLoads) -> StandardFormQP:
     """
     L = loads.loads
     n = len(L)
-    if n < 2:
-        raise PlanError("standard form needs at least two months")
     mean = Fraction(sum(L), n)
     ahat = tuple(Fraction(v) - mean for v in L)
     B = n - 1

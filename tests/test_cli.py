@@ -346,3 +346,33 @@ def test_library_import_leaves_cli_unloaded():
     cp = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout == "False\n"
+
+
+def test_run_pipeline_reuses_its_parser(golden_csv: Path, tmp_path: Path, capsys, monkeypatch):
+    # a good call, a usage error, a good call: each behaves as a fresh
+    # process does, and none builds a parser of its own
+    from repair_leveler import cli
+
+    def no_build():
+        raise AssertionError("run_pipeline built a new parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_build)
+
+    good = ["--input", str(golden_csv), "--output-dir", str(tmp_path / "out")]
+    fresh_good = run_cli(*good)
+    bad = ["--input", str(golden_csv), "--method", "nope"]
+    fresh_bad = run_cli(*bad)
+    assert fresh_bad.returncode == 4
+
+    outputs = []
+    for argv in (good, bad, good):
+        try:
+            status = cli.run_pipeline(argv)
+        except SystemExit as exc:
+            status = exc.code
+        captured = capsys.readouterr()
+        outputs.append((status, captured.out, captured.err))
+        if argv is good:
+            assert (tmp_path / "out" / "report.json").exists()
+    assert outputs[0] == outputs[2] == (0, fresh_good.stdout, fresh_good.stderr)
+    assert outputs[1] == (4, fresh_bad.stdout, fresh_bad.stderr)

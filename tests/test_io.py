@@ -46,6 +46,33 @@ def test_parse_skips_blank_rows():
     assert plan.entries == ((1, 2), (3, 4))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "   \nmonth_1,month_2\n10,20\n5,6\n",  # a spaces line is no header
+        "month_1,month_2\n10,20\n   \n5,6\n",  # nor a one-cell row mid-file
+        "month_1,month_2\n10,20\n5,6\n,\n",  # nor a row of empty cells
+    ],
+)
+def test_parse_skips_rows_of_blank_cells(text):
+    assert parse_plan(io.StringIO(text)).entries == ((10, 20), (5, 6))
+
+
+def test_parse_only_blank_rows_holds_no_rows():
+    with pytest.raises(PlanParseError, match="plan file holds no rows"):
+        parse_plan(io.StringIO("  \n,\n \t , \n\n"))
+
+
+def test_parse_header_only_file():
+    with pytest.raises(PlanParseError, match="header but no data rows"):
+        parse_plan(io.StringIO("month_1,month_2\n"))
+
+
+def test_parse_one_month_file():
+    with pytest.raises(PlanParseError, match="at least two months"):
+        parse_plan(io.StringIO("month_1\n4\n7\n"))
+
+
 def test_parse_strips_whitespace():
     plan = parse_plan(io.StringIO(" 1 , 2 \n"))
     assert plan.entries == ((1, 2),)

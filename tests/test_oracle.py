@@ -130,6 +130,12 @@ def test_shift_oracle_cell_cap():
         brute_force_shifts(AnnualPlan(((1,) * 7, (1,) * 7)), Objective.L1)
 
 
+def test_shift_oracle_state_cap():
+    tiny = OracleBudget(max_states=10)
+    with pytest.raises(BudgetExceededError, match="shift search passed 10 states"):
+        brute_force_shifts(AnnualPlan(((1, 2, 3), (4, 5, 6))), Objective.L1, tiny)
+
+
 def test_subset_oracle_examples():
     assert brute_force_subset(SelectionProblem((8, 6, 5), 11)) == (1, 2)
     assert brute_force_subset(SelectionProblem((3, 3), 3)) == (0,)
@@ -141,6 +147,13 @@ def test_subset_oracle_item_cap():
     with pytest.raises(BudgetExceededError):
         brute_force_subset(SelectionProblem((1,) * 21, 5))
     brute_force_subset(SelectionProblem((1,) * 20, 5))
+
+
+def test_subset_oracle_state_cap():
+    # 12 items are within max_items, but 2**12 subsets pass max_states
+    with pytest.raises(BudgetExceededError, match="would pass 1000 states"):
+        brute_force_subset(SelectionProblem((1,) * 12, 5), OracleBudget(max_states=1000))
+    brute_force_subset(SelectionProblem((1,) * 9, 5), OracleBudget(max_states=1000))
 
 
 def test_subset_oracle_agrees_with_solver():

@@ -68,6 +68,8 @@ def test_plan_rejects_bad_shapes():
 def test_monthly_loads_validation():
     with pytest.raises(PlanError):
         MonthlyLoads(())
+    with pytest.raises(PlanError, match="at least two months"):
+        MonthlyLoads((5,))
     with pytest.raises(PlanError):
         MonthlyLoads((1, -1))
     with pytest.raises(PlanError):
@@ -184,7 +186,7 @@ def test_metrics_are_repeatable():
 
 
 @settings(max_examples=300)
-@given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=12), st.sampled_from(Objective))
+@given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=2, max_size=12), st.sampled_from(Objective))
 def test_deviation_metrics_consistency(hours, objective):
     loads = MonthlyLoads(tuple(hours))
     assert deviation(loads, objective) == direct_deviation(loads, objective)
@@ -238,6 +240,13 @@ def test_shift_matrix_value_validation():
         ShiftMatrix(((0, 2),))
     with pytest.raises(ShiftValidationError):
         ShiftMatrix(())
+
+
+def test_shift_matrix_shape_validation():
+    with pytest.raises(ShiftValidationError, match="at least two months"):
+        ShiftMatrix(((0,), (0,)))
+    with pytest.raises(ShiftValidationError, match="row 2 has 3 cells, expected 2"):
+        ShiftMatrix(((0, 0), (0, 0, 0)))
 
 
 def test_shift_matrix_boundary_rules():

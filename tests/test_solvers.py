@@ -395,6 +395,8 @@ def test_standard_form_wrong_arity():
         qp.objective_z((1, 2))
     with pytest.raises(PlanError):
         qp.substituted_z((1, 2), 0)
+    with pytest.raises(PlanError):
+        qp.slack_values((1, 2))
 
 
 def test_standard_form_rejects_single_month():
