@@ -7,7 +7,7 @@ reproducible from its seed alone.
 import random
 from fractions import Fraction
 
-from repair_leveler import AnnualPlan, MonthlyLoads, Objective, PlanError, TransferVector
+from repair_leveler import AnnualPlan, MonthlyLoads, Objective, PlanError, SelectionProblem, TransferVector
 
 # The transfer oracle enumerates every boundary flow, so random sweeps
 # must shrink the load range as the month count grows.
@@ -124,3 +124,28 @@ def quadratic_chain_dp(L, cost, fixed=None):
             raise AssertionError("suffix table and reconstruction disagree")
     dead = sum(v is None for vals in suffix for v in vals)
     return best_total, tuple(xs), dead
+
+
+def dict_subset_select(problem: SelectionProblem) -> tuple[int, ...]:
+    """Reference for realization.subset_select: a capacity-indexed DP keyed
+    by achieved sum, with a copied index tuple per reachable sum,
+    O(m^2 * capacity).
+
+    Keeping a single best (count, indices) per sum is sound: the ranking
+    is preserved under any common extension, because extensions append
+    strictly larger indices to equal-length prefixes.
+    """
+    best: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
+    cap = problem.capacity
+    for i, a in enumerate(problem.items):
+        if a > cap:
+            continue
+        for s, (cnt, idx) in list(best.items()):
+            s2 = s + a
+            if s2 > cap:
+                continue
+            key = (cnt + 1, idx + (i,))
+            cur = best.get(s2)
+            if cur is None or key < cur:
+                best[s2] = key
+    return best[max(best)][1]

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repair_leveler import (
     AnnualPlan,
@@ -15,7 +16,7 @@ from repair_leveler import (
     solve_exact,
     subset_select,
 )
-from helpers import GOLDEN_PLAN, random_feasible_transfers, random_plan
+from helpers import GOLDEN_PLAN, dict_subset_select, random_feasible_transfers, random_plan
 
 
 def test_subset_select_basic():
@@ -59,6 +60,40 @@ def test_subset_matches_oracle():
         capacity = rng.randint(0, sum(items))
         problem = SelectionProblem(items, capacity)
         assert subset_select(problem) == brute_force_subset(problem)
+
+
+def test_subset_capacity_far_above_total():
+    # the reachable-sum bitset spans min(capacity, total), not the capacity
+    assert subset_select(SelectionProblem((3, 2), 10**7)) == (0, 1)
+
+
+def test_subset_sparse_large_items():
+    # the two big cells together overshoot; the best total pairs one with the 3
+    assert subset_select(SelectionProblem((10**6, 10**6 - 1, 3), 2 * 10**6 - 5)) == (0, 2)
+
+
+@st.composite
+def selection_problems(draw, max_items):
+    # draw the length first so long pools come up as often as short ones
+    count = draw(st.integers(0, max_items))
+    items = draw(st.lists(st.integers(1, 100), min_size=count, max_size=count))
+    capacity = draw(st.integers(0, sum(items) + 5))
+    # items larger than the capacity ride along at any position
+    for _ in range(draw(st.integers(0, 3))):
+        items.insert(draw(st.integers(0, len(items))), draw(st.integers(capacity + 1, capacity + 100)))
+    return SelectionProblem(tuple(items), capacity)
+
+
+@settings(max_examples=60, deadline=None)
+@given(selection_problems(max_items=80))
+def test_subset_matches_dict_reference(problem):
+    assert subset_select(problem) == dict_subset_select(problem)
+
+
+@settings(max_examples=200, deadline=None)
+@given(selection_problems(max_items=9))
+def test_subset_matches_brute_force(problem):
+    assert subset_select(problem) == brute_force_subset(problem)
 
 
 def test_realize_golden():
