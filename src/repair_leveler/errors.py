@@ -1,14 +1,18 @@
-"""Exception hierarchy for plan validation, solving, and file handling."""
+"""Exception hierarchy for plan validation, solving, and file handling.
+
+A class exists only where a caller handles it differently: the command
+line maps PlanParseError to exit 1, PlanError to exit 2 and
+BudgetExceededError to exit 3, and falls back from the splitting
+method to the exact one on UnsupportedLengthError. A message names the
+place of the fault where there is one, e.g. "boundary 2: ..." or
+"month 2 would hold -2 hours".
+"""
 
 from __future__ import annotations
 
 __all__ = [
     "LevelingError",
     "PlanError",
-    "BoundViolationError",
-    "FeasibilityError",
-    "ShiftBoundaryError",
-    "ShiftValidationError",
     "UnsupportedLengthError",
     "BudgetExceededError",
     "PlanParseError",
@@ -20,31 +24,10 @@ class LevelingError(Exception):
 
 
 class PlanError(LevelingError):
-    """Invalid model input: plan, load vector, transfers, or selection problem."""
-
-
-class BoundViolationError(LevelingError):
-    """A transfer volume exceeds what its donor month holds in the original plan."""
-
-    def __init__(self, boundary: int, message: str):
-        super().__init__(message)
-        self.boundary = boundary  # 1-based boundary index
-
-
-class FeasibilityError(LevelingError):
-    """Applying the transfers would drive some monthly load negative."""
-
-    def __init__(self, month: int, message: str):
-        super().__init__(message)
-        self.month = month  # 1-based month index
-
-
-class ShiftBoundaryError(LevelingError):
-    """A cell shift points outside the year: first month backward or last month forward."""
-
-
-class ShiftValidationError(LevelingError):
-    """Shift matrix malformed: bad entry, shape mismatch, or a move on an empty cell."""
+    """Invalid model input or an infeasible move: a malformed plan, load
+    vector, transfer vector, shift matrix or selection problem; a transfer
+    past its donor month's hours or one that drains a month below zero;
+    a shift out of the year or off an empty cell; no feasible vector."""
 
 
 class UnsupportedLengthError(LevelingError):

@@ -9,6 +9,11 @@ Sign convention for a transfer x_j at the boundary between months j and
 j+1 (1-based): positive moves hours forward into month j+1, negative
 moves hours backward into month j. A month can donate at most what its
 original plan holds, and no adjusted month may go negative.
+
+Each value rule has one owner: `_is_int` (an int, never a bool, here
+and in `realization.SelectionProblem`) and `_matrix_rows` (the shape of
+a plan or shift matrix). A broken rule raises PlanError, whose message
+is built only then.
 """
 
 from __future__ import annotations
@@ -16,13 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    BoundViolationError,
-    FeasibilityError,
-    PlanError,
-    ShiftBoundaryError,
-    ShiftValidationError,
-)
+from .errors import PlanError
 
 __all__ = [
     "AnnualPlan",
@@ -37,10 +36,24 @@ __all__ = [
 ]
 
 
-def _check_hours(value: object, where: str) -> None:
-    # bool is an int subclass; hours must be actual integers
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise PlanError(f"{where} must be a non-negative integer, got {value!r}")
+def _is_int(value: object) -> bool:
+    """An int that is not a bool: bool subclasses int, but True is no count of hours."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _matrix_rows(matrix, what: str, row_name: str) -> tuple[tuple, ...]:
+    """The matrix as row tuples, with at least one row, at least two
+    months and every row as wide as the first."""
+    rows = tuple(tuple(r) for r in matrix)
+    if not rows:
+        raise PlanError(f"{what} needs at least one {row_name}")
+    n = len(rows[0])
+    if n < 2:
+        raise PlanError(f"{what} needs at least two months")
+    for i, r in enumerate(rows):
+        if len(r) != n:
+            raise PlanError(f"row {i + 1} has {len(r)} cells, expected {n}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -50,17 +63,11 @@ class AnnualPlan:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
-        if not rows:
-            raise PlanError("plan needs at least one equipment row")
-        n = len(rows[0])
-        if n < 2:
-            raise PlanError("plan needs at least two months")
+        rows = _matrix_rows(self.entries, "plan", "equipment row")
         for i, row in enumerate(rows):
-            if len(row) != n:
-                raise PlanError(f"row {i + 1} has {len(row)} cells, expected {n}")
             for j, cell in enumerate(row):
-                _check_hours(cell, f"cell ({i + 1},{j + 1})")
+                if not (_is_int(cell) and cell >= 0):
+                    raise PlanError(f"cell ({i + 1},{j + 1}) must be a non-negative integer, got {cell!r}")
         object.__setattr__(self, "entries", rows)
 
     @property
@@ -86,7 +93,8 @@ class MonthlyLoads:
         if len(loads) < 2:
             raise PlanError("monthly loads need at least two months")
         for j, v in enumerate(loads):
-            _check_hours(v, f"month {j + 1} load")
+            if not (_is_int(v) and v >= 0):
+                raise PlanError(f"month {j + 1} load must be a non-negative integer, got {v!r}")
         object.__setattr__(self, "loads", loads)
 
     @property
@@ -108,7 +116,7 @@ class TransferVector:
         if not xs:
             raise PlanError("a transfer vector needs at least one boundary")
         for b, v in enumerate(xs):
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 raise PlanError(f"boundary {b + 1} transfer must be an integer, got {v!r}")
         object.__setattr__(self, "x", xs)
 
@@ -120,23 +128,16 @@ class ShiftMatrix:
     shifts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.shifts)
-        if not rows:
-            raise ShiftValidationError("shift matrix needs at least one row")
-        n = len(rows[0])
-        if n < 2:
-            raise ShiftValidationError("shift matrix needs at least two months")
+        rows = _matrix_rows(self.shifts, "shift matrix", "row")
         for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ShiftValidationError(f"row {i + 1} has {len(row)} cells, expected {n}")
             for j, s in enumerate(row):
-                if s not in (-1, 0, 1) or isinstance(s, bool):
-                    raise ShiftValidationError(f"cell ({i + 1},{j + 1}) must be -1, 0 or +1, got {s!r}")
+                if not (_is_int(s) and -1 <= s <= 1):
+                    raise PlanError(f"cell ({i + 1},{j + 1}) must be -1, 0 or +1, got {s!r}")
         for i, row in enumerate(rows):
             if row[0] == -1:
-                raise ShiftBoundaryError(f"row {i + 1} moves work backward out of the first month")
-            if row[n - 1] == 1:
-                raise ShiftBoundaryError(f"row {i + 1} moves work forward out of the last month")
+                raise PlanError(f"row {i + 1} moves work backward out of the first month")
+            if row[-1] == 1:
+                raise PlanError(f"row {i + 1} moves work forward out of the last month")
         object.__setattr__(self, "shifts", rows)
 
     @property
@@ -173,8 +174,8 @@ def validate_transfers(loads: MonthlyLoads, transfers: TransferVector) -> None:
 
     Each boundary may move forward at most what its left month holds and
     backward at most what its right month holds (bounds are against the
-    original loads: hours cannot pass through a month). Raises
-    BoundViolationError or FeasibilityError with the offending position.
+    original loads: hours cannot pass through a month). Raises PlanError
+    whose message starts with the offending boundary or month.
     """
     L = loads.loads
     xs = transfers.x
@@ -182,16 +183,12 @@ def validate_transfers(loads: MonthlyLoads, transfers: TransferVector) -> None:
         raise PlanError(f"expected {len(L) - 1} transfers for {len(L)} months, got {len(xs)}")
     for b, x in enumerate(xs):
         if x > L[b]:
-            raise BoundViolationError(
-                b + 1, f"boundary {b + 1}: forward transfer {x} exceeds month {b + 1} hours {L[b]}"
-            )
+            raise PlanError(f"boundary {b + 1}: forward transfer {x} exceeds month {b + 1} hours {L[b]}")
         if x < -L[b + 1]:
-            raise BoundViolationError(
-                b + 1, f"boundary {b + 1}: backward transfer {x} exceeds month {b + 2} hours {L[b + 1]}"
-            )
+            raise PlanError(f"boundary {b + 1}: backward transfer {x} exceeds month {b + 2} hours {L[b + 1]}")
     for j, adjusted in enumerate(_adjusted(L, xs)):
         if adjusted < 0:
-            raise FeasibilityError(j + 1, f"month {j + 1} would hold {adjusted} hours")
+            raise PlanError(f"month {j + 1} would hold {adjusted} hours")
 
 
 def apply_transfers(loads: MonthlyLoads, transfers: TransferVector) -> MonthlyLoads:
@@ -210,17 +207,15 @@ def apply_shift_matrix(plan: AnnualPlan, shifts: ShiftMatrix) -> AnnualPlan:
 
     A cell may only be marked if it holds hours; destination cells
     accumulate. Total hours are conserved and rows never mix. Raises
-    ShiftValidationError on a shape mismatch or a move on an empty cell
-    (out-of-year moves are rejected by ShiftMatrix itself).
+    PlanError on a shape mismatch or a move on an empty cell (out-of-year
+    moves are rejected by ShiftMatrix itself).
     """
     if shifts.k != plan.k or shifts.n != plan.n:
-        raise ShiftValidationError(
-            f"shift matrix is {shifts.k}x{shifts.n}, plan is {plan.k}x{plan.n}"
-        )
+        raise PlanError(f"shift matrix is {shifts.k}x{shifts.n}, plan is {plan.k}x{plan.n}")
     adjusted = [[0] * plan.n for _ in range(plan.k)]
     for i, (prow, srow) in enumerate(zip(plan.entries, shifts.shifts)):
         for j, (hours, s) in enumerate(zip(prow, srow)):
             if s != 0 and hours == 0:
-                raise ShiftValidationError(f"cell ({i + 1},{j + 1}) is empty but marked to move")
+                raise PlanError(f"cell ({i + 1},{j + 1}) is empty but marked to move")
             adjusted[i][j + s] += hours
     return AnnualPlan(tuple(tuple(row) for row in adjusted))

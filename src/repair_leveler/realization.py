@@ -23,6 +23,7 @@ from .plan import (
     AnnualPlan,
     ShiftMatrix,
     TransferVector,
+    _is_int,
     apply_shift_matrix,
     column_sums,
     validate_transfers,
@@ -41,9 +42,9 @@ class SelectionProblem:
     def __post_init__(self):
         items = tuple(self.items)
         for i, a in enumerate(items):
-            if not isinstance(a, int) or isinstance(a, bool) or a <= 0:
+            if not (_is_int(a) and a > 0):
                 raise PlanError(f"item {i + 1} must be a positive integer, got {a!r}")
-        if not isinstance(self.capacity, int) or isinstance(self.capacity, bool) or self.capacity < 0:
+        if not (_is_int(self.capacity) and self.capacity >= 0):
             raise PlanError(f"capacity must be a non-negative integer, got {self.capacity!r}")
         object.__setattr__(self, "items", items)
 

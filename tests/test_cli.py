@@ -348,6 +348,24 @@ def test_library_import_leaves_cli_unloaded():
     assert cp.stdout == "False\n"
 
 
+def test_public_names_are_pinned():
+    # written out in full so that adding or removing a public name shows in the diff
+    import repair_leveler
+
+    assert repair_leveler.__all__ == [
+        "AnnualPlan", "MonthlyLoads", "TransferVector", "ShiftMatrix",
+        "column_sums", "mean_load", "validate_transfers", "apply_transfers", "apply_shift_matrix",
+        "Objective", "deviation", "SolverConfig", "SolveResult", "StandardFormQP", "ShiftedVariableForm",
+        "solve_exact", "solve_bisection", "solve_greedy", "standard_form",
+        "SelectionProblem", "RealizationResult", "subset_select", "realize_transfers",
+        "OracleBudget", "DEFAULT_BUDGET", "brute_force_transfers", "brute_force_shifts", "brute_force_subset",
+        "parse_plan", "write_plan", "write_shift_matrix", "build_report", "render_report", "standard_form_to_dict",
+        "LevelingError", "PlanError", "UnsupportedLengthError", "BudgetExceededError", "PlanParseError",
+        "__version__",
+    ]
+    assert all(hasattr(repair_leveler, name) for name in repair_leveler.__all__)
+
+
 def test_run_pipeline_reuses_its_parser(golden_csv: Path, tmp_path: Path, capsys, monkeypatch):
     # a good call, a usage error, a good call: each behaves as a fresh
     # process does, and none builds a parser of its own
