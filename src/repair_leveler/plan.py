@@ -10,16 +10,18 @@ j+1 (1-based): positive moves hours forward into month j+1, negative
 moves hours backward into month j. A month can donate at most what its
 original plan holds, and no adjusted month may go negative.
 
-Each value rule has one owner: `_is_int` (an int, never a bool, here
-and in `realization.SelectionProblem`) and `_matrix_rows` (the shape of
-a plan or shift matrix). A broken rule raises PlanError, whose message
-is built only then.
+Each value rule has one owner: `_first_bad_int` (every value an int,
+never a bool, inside given bounds; here and in
+`realization.SelectionProblem`) and `_matrix_rows` (the shape of a plan
+or shift matrix). A broken rule raises PlanError, whose message is built
+only then.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import PlanError
 
@@ -36,9 +38,27 @@ __all__ = [
 ]
 
 
-def _is_int(value: object) -> bool:
-    """An int that is not a bool: bool subclasses int, but True is no count of hours."""
-    return isinstance(value, int) and not isinstance(value, bool)
+_PLAIN_INT = frozenset((int,))
+
+
+def _first_bad_int(values: tuple, lo: int | None = None, hi: int | None = None) -> int | None:
+    """Position of the first value that is not an int in [lo, hi], or None.
+
+    Int subclasses pass except bool: bool subclasses int, but True is no
+    count of hours. Whole-sequence builtins settle the usual case, every
+    value a plain int in range; only a sequence they refuse is walked
+    value by value to find the culprit.
+    """
+    if not values or (
+        set(map(type, values)) <= _PLAIN_INT
+        and (lo is None or min(values) >= lo)
+        and (hi is None or max(values) <= hi)
+    ):
+        return None
+    for p, v in enumerate(values):
+        if not isinstance(v, int) or isinstance(v, bool) or (lo is not None and v < lo) or (hi is not None and v > hi):
+            return p
+    return None
 
 
 def _matrix_rows(matrix, what: str, row_name: str) -> tuple[tuple, ...]:
@@ -64,10 +84,10 @@ class AnnualPlan:
 
     def __post_init__(self):
         rows = _matrix_rows(self.entries, "plan", "equipment row")
-        for i, row in enumerate(rows):
-            for j, cell in enumerate(row):
-                if not (_is_int(cell) and cell >= 0):
-                    raise PlanError(f"cell ({i + 1},{j + 1}) must be a non-negative integer, got {cell!r}")
+        bad = _first_bad_int(tuple(chain.from_iterable(rows)), lo=0)
+        if bad is not None:
+            i, j = divmod(bad, len(rows[0]))
+            raise PlanError(f"cell ({i + 1},{j + 1}) must be a non-negative integer, got {rows[i][j]!r}")
         object.__setattr__(self, "entries", rows)
 
     @property
@@ -92,9 +112,9 @@ class MonthlyLoads:
         loads = tuple(self.loads)
         if len(loads) < 2:
             raise PlanError("monthly loads need at least two months")
-        for j, v in enumerate(loads):
-            if not (_is_int(v) and v >= 0):
-                raise PlanError(f"month {j + 1} load must be a non-negative integer, got {v!r}")
+        bad = _first_bad_int(loads, lo=0)
+        if bad is not None:
+            raise PlanError(f"month {bad + 1} load must be a non-negative integer, got {loads[bad]!r}")
         object.__setattr__(self, "loads", loads)
 
     @property
@@ -115,9 +135,9 @@ class TransferVector:
         xs = tuple(self.x)
         if not xs:
             raise PlanError("a transfer vector needs at least one boundary")
-        for b, v in enumerate(xs):
-            if not _is_int(v):
-                raise PlanError(f"boundary {b + 1} transfer must be an integer, got {v!r}")
+        bad = _first_bad_int(xs)
+        if bad is not None:
+            raise PlanError(f"boundary {bad + 1} transfer must be an integer, got {xs[bad]!r}")
         object.__setattr__(self, "x", xs)
 
 
@@ -129,10 +149,10 @@ class ShiftMatrix:
 
     def __post_init__(self):
         rows = _matrix_rows(self.shifts, "shift matrix", "row")
-        for i, row in enumerate(rows):
-            for j, s in enumerate(row):
-                if not (_is_int(s) and -1 <= s <= 1):
-                    raise PlanError(f"cell ({i + 1},{j + 1}) must be -1, 0 or +1, got {s!r}")
+        bad = _first_bad_int(tuple(chain.from_iterable(rows)), lo=-1, hi=1)
+        if bad is not None:
+            i, j = divmod(bad, len(rows[0]))
+            raise PlanError(f"cell ({i + 1},{j + 1}) must be -1, 0 or +1, got {rows[i][j]!r}")
         for i, row in enumerate(rows):
             if row[0] == -1:
                 raise PlanError(f"row {i + 1} moves work backward out of the first month")

@@ -10,8 +10,11 @@ The subset-sum is an array DP over hours (Kellerer, Pferschy & Pisinger,
 Knapsack Problems, ch. 4): a big-int shift-or bitset finds the best
 reachable total, a suffix table of fewest-item counts per exact sum
 backs it, and a forward pass picks the earliest cells that still
-complete it. Its cost is O(m * min(capacity, total hours)) for m donor
-cells.
+complete it. Each suffix row is one big int of fixed-width count fields,
+updated with a few whole-int operations per cell (bit-parallel
+arithmetic on packed fields: Lamport, "Multiple byte processing with
+full-word instructions", CACM 1975). Its cost is O(m * min(capacity,
+total hours)) bits for m donor cells.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .plan import (
     AnnualPlan,
     ShiftMatrix,
     TransferVector,
-    _is_int,
+    _first_bad_int,
     apply_shift_matrix,
     column_sums,
     validate_transfers,
@@ -41,10 +44,10 @@ class SelectionProblem:
 
     def __post_init__(self):
         items = tuple(self.items)
-        for i, a in enumerate(items):
-            if not (_is_int(a) and a > 0):
-                raise PlanError(f"item {i + 1} must be a positive integer, got {a!r}")
-        if not (_is_int(self.capacity) and self.capacity >= 0):
+        bad = _first_bad_int(items, lo=1)
+        if bad is not None:
+            raise PlanError(f"item {bad + 1} must be a positive integer, got {items[bad]!r}")
+        if _first_bad_int((self.capacity,), lo=0) is not None:
             raise PlanError(f"capacity must be a non-negative integer, got {self.capacity!r}")
         object.__setattr__(self, "items", items)
 
@@ -61,12 +64,22 @@ def subset_select(problem: SelectionProblem) -> tuple[int, ...]:
     completes the total with the fewest items, which yields the smallest
     index tuple among the fewest-item selections.
 
-    Time and memory are O(m * min(capacity, sum)) for m fitting items:
-    dense in hours, which suits cells that hold a month's repair hours.
-    A sparse pool pays for it: items (10**6, 10**6 - 1, 3) at capacity
-    2 * 10**6 - 5 take about 0.1 s (Python 3.11), where a dict keyed by
-    reachable sum needs under 1 ms, and a call on 1-3 small items costs
-    a few microseconds more than that dict would.
+    Each table row is one int of packed fields: field s, w bits wide,
+    holds the count for sum s, with m + 1 for an unreachable sum and
+    w = (m + 2).bit_length() + 1, so the top bit of every field is a
+    guard. Adding an item shifts the row up by its hours in fields, adds
+    1 to every field, and takes the field-wise minimum with the old row
+    by one subtraction with the guards set: about a dozen big-int
+    operations per item, each linear in the row's bits, where a list
+    table takes one Python-level step per sum.
+
+    Time and memory are O(m * min(capacity, sum)) bits for m fitting
+    items: dense in hours, which suits cells that hold a month's repair
+    hours, and the only path. A sparse pool pays for it: items
+    (10**6, 10**6 - 1, 3) at capacity 2 * 10**6 - 5 take 6-11 ms and
+    about 7 MB at peak (Python 3.11), where a dict keyed by reachable sum
+    needs under 0.1 ms, and a call on 1-2 small items costs about 3
+    microseconds more than that dict would.
     """
     cap = problem.capacity
     index = [i for i, a in enumerate(problem.items) if a <= cap]
@@ -77,20 +90,36 @@ def subset_select(problem: SelectionProblem) -> tuple[int, ...]:
     for a in fit:
         reach = (reach | reach << a) & mask
     best = reach.bit_length() - 1
-    # rows[j][s]: fewest items of fit[j:] summing to exactly s, for s up to
-    # best; len(fit) + 1 marks an unreachable sum
-    row = [0] + [len(fit) + 1] * best
-    rows = [row] * (len(fit) + 1)
-    for j in range(len(fit) - 1, -1, -1):
-        a = fit[j]
-        row = rows[j] = row[:a] + [x if x <= y else y + 1 for x, y in zip(row[a:], row)]
+    # Field s of rows[j], w bits wide, holds the fewest items of fit[j:]
+    # summing to exactly s, for s up to best; m + 1 marks an unreachable
+    # sum. Values stay below 2 ** (w - 1), so each field's top bit is a
+    # guard that a field-wise subtraction never borrows past.
+    m = len(fit)
+    w = (m + 2).bit_length() + 1
+    field = (1 << w) - 1
+    size = (best + 1) * w
+    full = (1 << size) - 1
+    ones = full // field
+    guards = ones << (w - 1)
+    unreachable = (m + 1) * ones
+    row = unreachable - (m + 1)  # no items: only the empty sum 0 is reachable
+    rows = [row] * (m + 1)
+    for j in range(m - 1, -1, -1):
+        shift = fit[j] * w
+        # one more item on top of every sum s - a, unreachable below a
+        cand = ((row << shift) & full | unreachable >> (size - shift)) + ones
+        # a guard survives where row >= cand; the field-wise minimum then
+        # takes off row - cand there
+        diff = (row | guards) - cand
+        keep = diff & guards
+        row = rows[j] = row - (diff & (keep - (keep >> (w - 1))))
     chosen = []
-    total, count = best, row[best]
+    total, count = best, row >> best * w
     j = 0
     while count:
         a = fit[j]
         j += 1
-        if a <= total and rows[j][total - a] == count - 1:
+        if a <= total and rows[j] >> (total - a) * w & field == count - 1:
             chosen.append(index[j - 1])
             total -= a
             count -= 1

@@ -149,3 +149,39 @@ def dict_subset_select(problem: SelectionProblem) -> tuple[int, ...]:
             if cur is None or key < cur:
                 best[s2] = key
     return best[max(best)][1]
+
+
+def table_subset_select(problem: SelectionProblem) -> tuple[int, ...]:
+    """Reference for realization.subset_select: the same bitset and forward
+    pick over a suffix table held as one Python list per item,
+    O(m * min(capacity, sum)) list slots.
+
+    rows[j][s] is the fewest items of the fitting items j.. that sum to
+    exactly s, for s up to the best total; len(fit) + 1 marks an
+    unreachable sum.
+    """
+    cap = problem.capacity
+    index = [i for i, a in enumerate(problem.items) if a <= cap]
+    fit = [problem.items[i] for i in index]
+    limit = min(cap, sum(fit))
+    mask = (1 << (limit + 1)) - 1
+    reach = 1
+    for a in fit:
+        reach = (reach | reach << a) & mask
+    best = reach.bit_length() - 1
+    row = [0] + [len(fit) + 1] * best
+    rows = [row] * (len(fit) + 1)
+    for j in range(len(fit) - 1, -1, -1):
+        a = fit[j]
+        row = rows[j] = row[:a] + [x if x <= y else y + 1 for x, y in zip(row[a:], row)]
+    chosen = []
+    total, count = best, row[best]
+    j = 0
+    while count:
+        a = fit[j]
+        j += 1
+        if a <= total and rows[j][total - a] == count - 1:
+            chosen.append(index[j - 1])
+            total -= a
+            count -= 1
+    return tuple(chosen)

@@ -10,6 +10,7 @@ from repair_leveler import (
     MonthlyLoads,
     Objective,
     PlanError,
+    SelectionProblem,
     ShiftMatrix,
     TransferVector,
     apply_shift_matrix,
@@ -60,6 +61,34 @@ def test_plan_rejects_bad_shapes():
         AnnualPlan(((1, 2.5),))
     with pytest.raises(PlanError):
         AnnualPlan(((True, False),))  # bools are not hours
+
+
+class Hours(int):
+    """An int subclass that is not a bool, so it counts as hours."""
+
+
+def test_value_types_take_int_subclasses_and_name_the_first_bad_value():
+    h = Hours(1)
+    assert AnnualPlan(((h, 0), (2, h))).entries == ((1, 0), (2, 1))
+    assert MonthlyLoads((h, 0)).loads == (1, 0)
+    assert TransferVector((h,)).x == (1,)
+    assert ShiftMatrix(((h, 0),)).shifts == ((1, 0),)
+    assert SelectionProblem((h,), h).items == (1,)
+    # the first bad value in row-major order is named, not a later one
+    with pytest.raises(PlanError, match=r"^cell \(1,2\) must be a non-negative integer, got -1$"):
+        AnnualPlan(((0, -1), (2.5, 0)))
+    with pytest.raises(PlanError, match=r"^cell \(2,1\) must be a non-negative integer, got True$"):
+        AnnualPlan(((0, 1), (True, -1)))
+    with pytest.raises(PlanError, match=r"^month 2 load must be a non-negative integer, got 'x'$"):
+        MonthlyLoads((1, "x", -1))
+    with pytest.raises(PlanError, match=r"^boundary 3 transfer must be an integer, got 0\.5$"):
+        TransferVector((1, -2, 0.5, True))
+    with pytest.raises(PlanError, match=r"^cell \(2,2\) must be -1, 0 or \+1, got 2$"):
+        ShiftMatrix(((0, 0, 0), (0, 2, True)))
+    with pytest.raises(PlanError, match=r"^item 2 must be a positive integer, got False$"):
+        SelectionProblem((3, False, 0), 5)
+    with pytest.raises(PlanError, match=r"^capacity must be a non-negative integer, got True$"):
+        SelectionProblem((3,), True)
 
 
 def test_monthly_loads_validation():

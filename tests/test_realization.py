@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -14,9 +15,16 @@ from repair_leveler import (
     column_sums,
     realize_transfers,
     solve_exact,
+    solve_greedy,
     subset_select,
 )
-from helpers import GOLDEN_PLAN, dict_subset_select, random_feasible_transfers, random_plan
+from helpers import (
+    GOLDEN_PLAN,
+    dict_subset_select,
+    random_feasible_transfers,
+    random_plan,
+    table_subset_select,
+)
 
 
 def test_subset_select_basic():
@@ -90,10 +98,39 @@ def test_subset_matches_dict_reference(problem):
     assert subset_select(problem) == dict_subset_select(problem)
 
 
+@settings(max_examples=60, deadline=None)
+@given(selection_problems(max_items=300))
+def test_subset_matches_table_reference(problem):
+    assert subset_select(problem) == table_subset_select(problem)
+
+
 @settings(max_examples=200, deadline=None)
 @given(selection_problems(max_items=9))
 def test_subset_matches_brute_force(problem):
     assert subset_select(problem) == brute_force_subset(problem)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 6, 13, 14, 29, 30, 61, 62, 125, 126, 253, 254])
+def test_subset_field_width_edges(m):
+    # m one-hour items: the fewest count at the best total is m itself, the
+    # largest value a packed field holds, and m + 2 crosses a power of two
+    # in this list, so the field width steps up between neighbours
+    items = (1,) * m
+    assert subset_select(SelectionProblem(items, m)) == tuple(range(m))
+    assert subset_select(SelectionProblem(items, m - 1)) == tuple(range(m - 1))
+
+
+@pytest.mark.parametrize("solve, digest", [
+    (solve_greedy, "0eb01a8fdb8eba9633c5d82a6981420f605cae5bc1067982c52949d84f6836c3"),
+    (solve_exact, "3f2531b3e936cea12e62ab19cd502ef6ea94e8e9aa4a1306e247d9bb0cd43f56"),
+])
+def test_realize_fleet_scale_is_pinned(solve, digest):
+    # about 1 000 h/month over 100 rows, so each boundary picks from a pool
+    # of 92-98 cells; the two solvers' flows differ at every boundary
+    plan = random_plan(random.Random(2), 100, 12, 20)
+    real = realize_transfers(plan, solve(column_sums(plan)).transfers)
+    pinned = repr((real.shift_matrix.shifts, real.achieved, real.residuals))
+    assert hashlib.sha256(pinned.encode()).hexdigest() == digest
 
 
 def test_realize_golden():
