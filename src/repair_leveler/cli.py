@@ -10,9 +10,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import BudgetExceededError, LevelingError, PlanError, PlanParseError, UnsupportedLengthError
+from .errors import BudgetExceededError, LevelingError, PlanError, PlanParseError
 from .io import _INTEGER, build_report, parse_plan, render_report, write_plan, write_shift_matrix
-from .oracle import DEFAULT_BUDGET, brute_force_subset, brute_force_transfers
+from .oracle import brute_force_subset, brute_force_transfers
 from .plan import TransferVector, apply_transfers, column_sums, mean_load
 from .realization import RealizationResult, SelectionProblem, realize_transfers
 from .solvers import Objective, SolveResult, SolverConfig, deviation, solve_bisection, solve_exact, solve_greedy
@@ -54,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--input", required=True, help="plan CSV: one row per equipment item, one integer column per month")
     parser.add_argument("--output-dir", default=".", help="where adjusted_plan.csv, shifts.csv and report.json go (default: current directory)")
-    parser.add_argument("--method", choices=("exact", "bisection", "greedy"), default="exact", help="transfer solver (default: exact)")
+    # None marks an omitted --method: --shifts-only refuses any other value, a solved run reads it as exact
+    parser.add_argument("--method", choices=("exact", "bisection", "greedy"), default=None, help="transfer solver (default: exact)")
     parser.add_argument("--objective", choices=[o.value for o in Objective], default=Objective.L1.value, help="deviation metric to minimize (default: l1)")
     parser.add_argument("--months", type=_month_count, default=None, help="validate that the plan has exactly this many months")
     parser.add_argument("--verify", action="store_true", help="cross-check the result against the exhaustive reference search")
@@ -79,30 +80,21 @@ def _joined_transfers(argv: list[str]) -> list[str]:
     return out
 
 
-def _solve(loads, objective: Objective, method: str) -> tuple[SolveResult, str | None]:
+def _solve(loads, objective: Objective, method: str) -> SolveResult:
     config = SolverConfig(objective)
     if method == "greedy":
-        return solve_greedy(loads, config), None
+        return solve_greedy(loads, config)
     if method == "bisection":
-        try:
-            return solve_bisection(loads, config), None
-        except UnsupportedLengthError:
-            # splitting is only defined for quarter-structured years
-            return solve_exact(loads, config), method
-    return solve_exact(loads, config), None
+        return solve_bisection(loads, config)
+    return solve_exact(loads, config)
 
 
 def _oracle_transfer_block(loads, objective: Objective, result: SolveResult) -> dict:
     """An optimal result must equal the oracle's vector; any other must not beat it."""
-    reference = brute_force_transfers(loads, objective, DEFAULT_BUDGET)
+    reference = brute_force_transfers(loads, objective)
     gap = result.objective_value - reference.objective_value
-    if result.optimal:
-        match = (
-            result.objective_value == reference.objective_value
-            and result.transfers == reference.transfers
-        )
-    else:
-        match = gap >= 0
+    # equal vectors on the same loads give equal objectives
+    match = result.transfers == reference.transfers if result.optimal else gap >= 0
     return {
         "mode": "transfer-search",
         "objective": str(reference.objective_value),
@@ -122,7 +114,7 @@ def _oracle_subset_block(transfers: TransferVector, realization: RealizationResu
     for b, (x, items) in enumerate(zip(transfers.x, realization.pools)):
         if x == 0:
             continue
-        reference = brute_force_subset(SelectionProblem(items, abs(x)), DEFAULT_BUDGET)
+        reference = brute_force_subset(SelectionProblem(items, abs(x)))
         best = sum(items[c] for c in reference)
         ok = best == realization.achieved[b]
         all_match = all_match and ok
@@ -143,7 +135,10 @@ def _run(args) -> int:
         after = deviation(apply_transfers(loads, transfers), objective)
         result = SolveResult(transfers, after, "supplied-transfers", False, 0)
     else:
-        result, requested_method = _solve(loads, objective, args.method)
+        method = args.method or "exact"
+        result = _solve(loads, objective, method)
+        if result.method != method:  # bisection answers other month counts exactly
+            requested_method = method
 
     realization = realize_transfers(plan, result.transfers)
 
@@ -193,6 +188,8 @@ def run_pipeline(argv=None) -> int:
         parser.error("--shifts-only requires --transfers")
     if args.transfers is not None and not args.shifts_only:
         parser.error("--transfers is only accepted together with --shifts-only")
+    if args.method is not None and args.shifts_only:
+        parser.error("--method is not accepted together with --shifts-only")
     try:
         return _run(args)
     except PlanParseError as exc:

@@ -2,10 +2,9 @@
 
 A class exists only where a caller handles it differently: the command
 line maps PlanParseError to exit 1, PlanError to exit 2 and
-BudgetExceededError to exit 3, and falls back from the splitting
-method to the exact one on UnsupportedLengthError. A message names the
-place of the fault where there is one, e.g. "boundary 2: ..." or
-"month 2 would hold -2 hours".
+BudgetExceededError to exit 3. A message names the place of the fault
+where there is one, e.g. "boundary 2: ..." or "month 2 would hold -2
+hours".
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 __all__ = [
     "LevelingError",
     "PlanError",
-    "UnsupportedLengthError",
     "BudgetExceededError",
     "PlanParseError",
 ]
@@ -28,10 +26,6 @@ class PlanError(LevelingError):
     vector, transfer vector, shift matrix or selection problem; a transfer
     past its donor month's hours or one that drains a month below zero;
     a shift out of the year or off an empty cell; no feasible vector."""
-
-
-class UnsupportedLengthError(LevelingError):
-    """The splitting method needs the month count divisible by four."""
 
 
 class BudgetExceededError(LevelingError):

@@ -18,7 +18,6 @@ from .solvers import Objective, SolveResult, _scaled_month_cost
 
 __all__ = [
     "OracleBudget",
-    "DEFAULT_BUDGET",
     "brute_force_transfers",
     "brute_force_shifts",
     "brute_force_subset",
@@ -40,11 +39,8 @@ class OracleBudget:
     max_items: int = 20  # subset scan
 
 
-DEFAULT_BUDGET = OracleBudget()
-
-
 def brute_force_transfers(
-    loads: MonthlyLoads, objective: Objective, budget: OracleBudget = DEFAULT_BUDGET
+    loads: MonthlyLoads, objective: Objective, budget: OracleBudget = OracleBudget()
 ) -> SolveResult:
     """True transfer optimum by enumerating every feasible integer vector.
 
@@ -100,7 +96,7 @@ def brute_force_transfers(
 
 
 def brute_force_shifts(
-    plan: AnnualPlan, objective: Objective, budget: OracleBudget = DEFAULT_BUDGET
+    plan: AnnualPlan, objective: Objective, budget: OracleBudget = OracleBudget()
 ) -> tuple[ShiftMatrix, Fraction]:
     """Best shift matrix by scanning every valid per-cell move pattern.
 
@@ -155,7 +151,7 @@ def brute_force_shifts(
     return ShiftMatrix(best_marks), Fraction(best, scale)
 
 
-def brute_force_subset(problem: SelectionProblem, budget: OracleBudget = DEFAULT_BUDGET) -> tuple[int, ...]:
+def brute_force_subset(problem: SelectionProblem, budget: OracleBudget = OracleBudget()) -> tuple[int, ...]:
     """Best selection by scanning all subsets, same tie-break as subset_select:
     maximal total, then fewest items, then the smallest index tuple.
     """

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
-from .errors import PlanError, UnsupportedLengthError
+from .errors import PlanError
 from .plan import MonthlyLoads, TransferVector, apply_transfers, mean_load, validate_transfers
 
 __all__ = [
@@ -253,13 +253,13 @@ def solve_bisection(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) 
 
     Each split flow is chosen by scanning its donor bounds for the value
     that best balances the two sides of the split (smallest flow on
-    ties). Only defined when the month count is divisible by four;
-    callers that need other lengths should fall back to solve_exact.
+    ties). Quarters need a month count divisible by four; any other
+    count returns solve_exact's result, named "exact" and optimal.
     """
     L = loads.loads
     n = len(L)
     if n % 4 != 0:
-        raise UnsupportedLengthError(f"splitting needs a month count divisible by 4, got {n}")
+        return solve_exact(loads, config)
     total = sum(L)
     cost, scale = _scaled_month_cost(config.objective, n, total)
     q, mid = n // 4, n // 2

@@ -279,11 +279,13 @@ def test_exit_usage_errors(golden_csv: Path, tmp_path: Path):
         ("--input", str(golden_csv), "--output-dir", out, "--shifts-only"),
         ("--input", str(golden_csv), "--output-dir", out, "--transfers", "1,0,0"),
         ("--input", str(golden_csv), "--output-dir", out, "--transfers", "1,zz,0", "--shifts-only"),
+        ("--input", str(golden_csv), "--output-dir", out, "--shifts-only", "--transfers=-3,3,0", "--method", "greedy"),
         ("--output-dir", out),
     )
     for args in cases:
         cp = run_cli(*args)
         assert cp.returncode == 4, args
+        assert cp.stderr.count("error:") == 1, cp.stderr
 
 
 def test_default_output_dir_is_cwd(golden_csv: Path, tmp_path: Path):
@@ -358,9 +360,9 @@ def test_public_names_are_pinned():
         "Objective", "deviation", "SolverConfig", "SolveResult", "StandardFormQP", "ShiftedVariableForm",
         "solve_exact", "solve_bisection", "solve_greedy", "standard_form",
         "SelectionProblem", "RealizationResult", "subset_select", "realize_transfers",
-        "OracleBudget", "DEFAULT_BUDGET", "brute_force_transfers", "brute_force_shifts", "brute_force_subset",
+        "OracleBudget", "brute_force_transfers", "brute_force_shifts", "brute_force_subset",
         "parse_plan", "write_plan", "write_shift_matrix", "build_report", "render_report", "standard_form_to_dict",
-        "LevelingError", "PlanError", "UnsupportedLengthError", "BudgetExceededError", "PlanParseError",
+        "LevelingError", "PlanError", "BudgetExceededError", "PlanParseError",
         "__version__",
     ]
     assert all(hasattr(repair_leveler, name) for name in repair_leveler.__all__)

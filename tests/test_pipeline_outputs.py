@@ -64,6 +64,11 @@ GOLDEN = ((10, 20, 30, 40), (5, 8, 6, 6), (21, 11, 3, 2), (14, 1, 5, 3))
 # bisection's split flows on this one-row plan leave inflows that cannot
 # pay any outflow, which the chain DP cuts from its domains
 DEAD = ((8, 0, 1, 5, 0, 2, 0, 2),)
+# bisection on a month count not divisible by four answers with the exact
+# solve and names the requested method; month loads stay inside the oracle
+# budget so --verify runs too
+SHORT = ((5, 0, 2), (3, 1, 0))
+SIX = ((3, 0, 5, 1, 0, 2), (4, 1, 2, 0, 0, 6))
 
 PINNED_RUNS = {
     **{
@@ -78,6 +83,15 @@ PINNED_RUNS = {
     "golden-shifts-only-verify": (GOLDEN, ("--shifts-only", "--transfers", "-3,3,0", "--verify")),
     "dead-bisection-l1": (DEAD, ("--method", "bisection", "--objective", "l1")),
     "dead-bisection-quadratic": (DEAD, ("--method", "bisection", "--objective", "quadratic")),
+    **{
+        f"{name}-bisection-{objective}{'-verify' if verify else ''}": (
+            rows,
+            ("--method", "bisection", "--objective", objective) + (("--verify",) if verify else ()),
+        )
+        for name, rows in (("short", SHORT), ("six", SIX))
+        for objective in ("l1", "quadratic")
+        for verify in (False, True)
+    },
 }
 
 # recorded from the program before _chain_dp cut its dead states; a change
@@ -98,6 +112,14 @@ PINNED_DIGESTS = {
     "golden-greedy-quadratic": "44c5e6993a1d54d2ede3cf2609e6d28d27fbcc2dd4053e7e3b984a13163d0c80",
     "golden-greedy-quadratic-verify": "dfc7e501128420a96b3a13626fc418f8154b321fb5631f0afad834c002c9537f",
     "golden-shifts-only-verify": "21497d7144839a37722e444b633d5b2e003f953b35878e9d4913a017d2926e7b",
+    "short-bisection-l1": "45cb43a89e08d18cb92c7d2f6dd7cb7e108821804dd6453d0a2e8ac038c3e4e0",
+    "short-bisection-l1-verify": "a7f05efc8a7f8723f100947798e14650925a795f01665d6e759ca467fab9ff65",
+    "short-bisection-quadratic": "35fdf0fcce019ff4f4b201fed0155ab22ec505b5f43ee14a82a8b8976d215f96",
+    "short-bisection-quadratic-verify": "afe74284576a3b31aff04864d88cf6699d21c1befb80521a1eb86cd1f8172cb3",
+    "six-bisection-l1": "65f7519689b00f1b9a5be25a603afdff9dc8e2adcc6c6badc6a87f2c6d3a7836",
+    "six-bisection-l1-verify": "d65bb1a8b7b1e7973eccd62e2fd42cbb925620e3f5dd8c44151f88185f0f0f6e",
+    "six-bisection-quadratic": "23b5cb78a773b7f387efd3178737a3b8198379949c423d63887a8584e66f756c",
+    "six-bisection-quadratic-verify": "59ac89c8e394d904e9c3031619761b8799576ca0784051f3b1a1f8d6549cb7b6",
 }
 
 

@@ -11,7 +11,6 @@ from repair_leveler import (
     PlanError,
     SolverConfig,
     TransferVector,
-    UnsupportedLengthError,
     apply_transfers,
     brute_force_shifts,
     brute_force_transfers,
@@ -148,10 +147,18 @@ def test_bisection_golden():
     assert result.method == "bisection"
 
 
-def test_bisection_rejects_other_lengths():
-    for n in (2, 3, 5, 6, 7, 9, 10, 11):
-        with pytest.raises(UnsupportedLengthError):
-            solve_bisection(MonthlyLoads((10,) * n))
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, 6, 7, 9, 10, 11, 13)).flatmap(
+        lambda n: st.lists(st.integers(0, 60), min_size=n, max_size=n)
+    ),
+    st.sampled_from(Objective),
+)
+def test_bisection_answers_other_lengths_exactly(hours, objective):
+    # no quarters to split: the whole result is the exact solver's
+    loads = MonthlyLoads(tuple(hours))
+    config = SolverConfig(objective)
+    assert solve_bisection(loads, config) == solve_exact(loads, config)
 
 
 def test_bisection_empty_interior_forces_zero_mid_flow():
