@@ -8,6 +8,7 @@ rendering alongside for convenience.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import re
 from fractions import Fraction
@@ -42,6 +43,12 @@ def _int_like(cell: str) -> bool:
     return True
 
 
+def _is_header(cells: list[str]) -> bool:
+    """A header holds nothing int() reads as a number; any other first row
+    is data, so "1,x" or "+5,+6" fails at its bad cell."""
+    return not any(map(_int_like, cells))
+
+
 def _parse_rows(rows: list[list[str]]) -> AnnualPlan:
     cleaned: list[tuple[int, list[str]]] = []  # (1-based file row, cells)
     for lineno, row in enumerate(rows, start=1):
@@ -51,9 +58,7 @@ def _parse_rows(rows: list[list[str]]) -> AnnualPlan:
     if not cleaned:
         raise PlanParseError("plan file holds no rows")
 
-    # a header holds nothing int() reads as a number; any other first row
-    # is data, so "1,x" or "+5,+6" fails at its bad cell below
-    if not any(_int_like(cell) for cell in cleaned[0][1]):
+    if _is_header(cleaned[0][1]):
         cleaned = cleaned[1:]
         if not cleaned:
             raise PlanParseError("plan file holds a header but no data rows")
@@ -73,7 +78,14 @@ def _parse_rows(rows: list[list[str]]) -> AnnualPlan:
                     row=lineno,
                     column=col,
                 )
-            value = int(cell)
+            try:
+                value = int(cell)
+            except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+                raise PlanParseError(
+                    f"row {lineno}, column {col}: a {len(cell)}-character integer is too long",
+                    row=lineno,
+                    column=col,
+                ) from exc
             if value < 0:
                 raise PlanParseError(
                     f"row {lineno}, column {col}: hours cannot be negative ({value})",
@@ -99,23 +111,84 @@ def parse_plan(source: str | Path | IO[str]) -> AnnualPlan:
     "+5,+6" is data and fails at its first cell. A path is read as UTF-8; one
     leading byte-order mark is dropped from a path or a stream alike.
     Raises PlanParseError with the 1-based row/column on malformed input,
-    including unreadable paths and bytes that are not UTF-8.
+    including unreadable paths, bytes that are not UTF-8 and oversized
+    cells: one with more digits than int() reads, or one past the csv
+    module's field size limit.
     """
     if hasattr(source, "read"):
-        return _parse_rows(_read_rows(source))
+        return _parse_text(_read_text(source))
     try:
         with open(source, newline="", encoding="utf-8") as fh:
-            return _parse_rows(_read_rows(fh))
+            text = _read_text(fh)
     except OSError as exc:
         raise PlanParseError(f"cannot read plan file {source}: {exc.strerror}") from exc
+    return _parse_text(text)
 
 
-def _read_rows(fh: IO[str]) -> list[list[str]]:
+def _read_text(fh: IO[str]) -> str:
     try:
-        text = fh.read()
+        return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise PlanParseError(f"plan file is not UTF-8 text: {exc.reason}") from exc
-    return list(csv.reader(StringIO(text.removeprefix("\ufeff"), newline="")))
+
+
+def _parse_text(text: str) -> AnnualPlan:
+    plan = _parse_plain(text)
+    return plan if plan is not None else _parse_rows(_csv_rows(text))
+
+
+def _csv_rows(text: str) -> list[list[str]]:
+    """The csv reader's rows; a reader error, such as a field past
+    csv.field_size_limit() or a NUL on Python 3.10, fails at its row."""
+    rows: list[list[str]] = []
+    try:
+        for row in csv.reader(StringIO(text, newline="")):
+            rows.append(row)
+    except csv.Error as exc:
+        raise PlanParseError(f"row {len(rows) + 1}: {exc}", row=len(rows) + 1) from exc
+    return rows
+
+
+# characters the csv reader treats apart from "," and "\n" (NUL only on 3.10)
+_CSV_SPECIAL = '"\r\0'
+
+
+@functools.lru_cache(maxsize=8)
+def _body_pattern(n: int) -> re.Pattern:
+    """Lines of n unsigned ASCII integers, each line ending in a newline."""
+    return re.compile(r"(?:[0-9]+(?:,[0-9]+){%d}\n)+" % (n - 1))
+
+
+def _parse_plain(text: str) -> AnnualPlan | None:
+    """The plan of a plain text in one pass, or None when the text needs
+    _parse_rows' cell walk.
+
+    A plain text is an optional header line that the csv reader splits
+    at its commas alone, then lines of at least two unsigned ASCII
+    integers, all as wide as the first, each ending in a newline.
+    Anything else, a cell int() cannot read included, is left to the
+    walk, which alone names a bad cell.
+    """
+    head, _, body = text.partition("\n")
+    cells = [cell.strip() for cell in head.split(",")]
+    if (
+        any(cells)
+        and _is_header(cells)
+        and len(head) <= csv.field_size_limit()
+        and not any(c in head for c in _CSV_SPECIAL)
+    ):
+        head = body.partition("\n")[0]
+    else:
+        body = text
+    n = head.count(",") + 1
+    if n < 2 or not _body_pattern(n).fullmatch(body):
+        return None
+    values = map(int, body[:-1].replace("\n", ",").split(","))
+    try:
+        rows = tuple(zip(*[values] * n))
+    except ValueError:  # a cell longer than int() reads
+        return None
+    return AnnualPlan(rows)
 
 
 def _write_matrix(rows, n: int, path: str | Path) -> None:

@@ -176,7 +176,7 @@ class ShiftMatrix:
 
 def column_sums(plan: AnnualPlan) -> MonthlyLoads:
     """Total hours per month of the plan."""
-    return MonthlyLoads(tuple(sum(row[j] for row in plan.entries) for j in range(plan.n)))
+    return MonthlyLoads(tuple(map(sum, zip(*plan.entries))))
 
 
 def mean_load(loads: MonthlyLoads) -> Fraction:
@@ -232,10 +232,17 @@ def apply_shift_matrix(plan: AnnualPlan, shifts: ShiftMatrix) -> AnnualPlan:
     """
     if shifts.k != plan.k or shifts.n != plan.n:
         raise PlanError(f"shift matrix is {shifts.k}x{shifts.n}, plan is {plan.k}x{plan.n}")
-    adjusted = [[0] * plan.n for _ in range(plan.k)]
+    adjusted = []
     for i, (prow, srow) in enumerate(zip(plan.entries, shifts.shifts)):
-        for j, (hours, s) in enumerate(zip(prow, srow)):
-            if s != 0 and hours == 0:
-                raise PlanError(f"cell ({i + 1},{j + 1}) is empty but marked to move")
-            adjusted[i][j + s] += hours
-    return AnnualPlan(tuple(tuple(row) for row in adjusted))
+        if any(srow):  # a row with no mark is copied as it is
+            row = list(prow)
+            for j, s in enumerate(srow):
+                if s:
+                    hours = prow[j]
+                    if hours == 0:
+                        raise PlanError(f"cell ({i + 1},{j + 1}) is empty but marked to move")
+                    row[j] -= hours
+                    row[j + s] += hours
+            prow = tuple(row)
+        adjusted.append(prow)
+    return AnnualPlan(tuple(adjusted))

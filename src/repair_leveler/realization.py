@@ -6,6 +6,12 @@ still-unmoved donor cells (a bounded subset-sum), and whatever cannot be
 covered by whole cells is reported as a residual, never absorbed
 silently.
 
+The plan's month columns are taken once. A boundary's donor pool is its
+donor month's column without the empty cells and the cells an earlier
+boundary claimed: a claimed cell reads 0 in the column from then on.
+A month donates only across the two boundaries at its sides, so only
+the earlier of those can have claimed cells in it.
+
 The subset-sum is an array DP over hours (Kellerer, Pferschy & Pisinger,
 Knapsack Problems, ch. 4): a big-int shift-or bitset finds the best
 reachable total, a suffix table of fewest-item counts per exact sum
@@ -20,6 +26,7 @@ total hours)) bits for m donor cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import PlanError
 from .plan import (
@@ -154,8 +161,11 @@ def realize_transfers(plan: AnnualPlan, transfers: TransferVector) -> Realizatio
     """
     loads = column_sums(plan)
     validate_transfers(loads, transfers)
-    k, n = plan.k, plan.n
-    marks = [[0] * n for _ in range(k)]
+    k = plan.k
+    # per month column: the hours still free to move (a claimed cell
+    # reads 0) and each cell's mark
+    free = [list(col) for col in zip(*plan.entries)]
+    marks = [[0] * k for _ in free]
     achieved = []
     residuals = []
     pools = []
@@ -165,19 +175,20 @@ def realize_transfers(plan: AnnualPlan, transfers: TransferVector) -> Realizatio
             residuals.append(0)
             pools.append(())
             continue
-        month = b if x > 0 else b + 1
-        cap = x if x > 0 else -x
-        rows = [i for i in range(k) if plan.entries[i][month] > 0 and marks[i][month] == 0]
-        pool = tuple(plan.entries[i][month] for i in rows)
-        chosen = subset_select(SelectionProblem(pool, cap))
-        mark = 1 if x > 0 else -1
-        for c in chosen:
-            marks[rows[c]][month] = mark
-        got = sum(pool[c] for c in chosen)
+        month, cap, mark = (b, x, 1) if x > 0 else (b + 1, -x, -1)
+        col, col_marks = free[month], marks[month]
+        rows = list(compress(range(k), col))
+        pool = tuple(filter(None, col))
+        got = 0
+        for c in subset_select(SelectionProblem(pool, cap)):
+            i = rows[c]
+            got += col[i]
+            col[i] = 0
+            col_marks[i] = mark
         achieved.append(got)
         residuals.append(cap - got)
         pools.append(pool)
-    shift = ShiftMatrix(tuple(tuple(row) for row in marks))
+    shift = ShiftMatrix(tuple(zip(*marks)))
     return RealizationResult(
         shift_matrix=shift,
         achieved=tuple(achieved),

@@ -7,7 +7,19 @@ reproducible from its seed alone.
 import random
 from fractions import Fraction
 
-from repair_leveler import AnnualPlan, MonthlyLoads, Objective, PlanError, SelectionProblem, TransferVector
+from repair_leveler import (
+    AnnualPlan,
+    MonthlyLoads,
+    Objective,
+    PlanError,
+    RealizationResult,
+    SelectionProblem,
+    ShiftMatrix,
+    TransferVector,
+    column_sums,
+    subset_select,
+    validate_transfers,
+)
 
 # The transfer oracle enumerates every boundary flow, so random sweeps
 # must shrink the load range as the month count grows.
@@ -185,3 +197,56 @@ def table_subset_select(problem: SelectionProblem) -> tuple[int, ...]:
             total -= a
             count -= 1
     return tuple(chosen)
+
+
+def scan_realize_transfers(plan: AnnualPlan, transfers: TransferVector) -> RealizationResult:
+    """Reference for realization.realize_transfers: each boundary scans
+    every row of the plan and a k x n mark table for its donor pool, and
+    the adjusted plan comes from cell_apply_shift_matrix."""
+    loads = column_sums(plan)
+    validate_transfers(loads, transfers)
+    k, n = plan.k, plan.n
+    marks = [[0] * n for _ in range(k)]
+    achieved = []
+    residuals = []
+    pools = []
+    for b, x in enumerate(transfers.x):
+        if x == 0:
+            achieved.append(0)
+            residuals.append(0)
+            pools.append(())
+            continue
+        month = b if x > 0 else b + 1
+        cap = x if x > 0 else -x
+        rows = [i for i in range(k) if plan.entries[i][month] > 0 and marks[i][month] == 0]
+        pool = tuple(plan.entries[i][month] for i in rows)
+        chosen = subset_select(SelectionProblem(pool, cap))
+        mark = 1 if x > 0 else -1
+        for c in chosen:
+            marks[rows[c]][month] = mark
+        got = sum(pool[c] for c in chosen)
+        achieved.append(got)
+        residuals.append(cap - got)
+        pools.append(pool)
+    shift = ShiftMatrix(tuple(tuple(row) for row in marks))
+    return RealizationResult(
+        shift_matrix=shift,
+        achieved=tuple(achieved),
+        residuals=tuple(residuals),
+        adjusted_plan=cell_apply_shift_matrix(plan, shift),
+        pools=tuple(pools),
+    )
+
+
+def cell_apply_shift_matrix(plan: AnnualPlan, shifts: ShiftMatrix) -> AnnualPlan:
+    """Reference for plan.apply_shift_matrix: every cell of every row adds
+    its hours to the month its mark points at."""
+    if shifts.k != plan.k or shifts.n != plan.n:
+        raise PlanError(f"shift matrix is {shifts.k}x{shifts.n}, plan is {plan.k}x{plan.n}")
+    adjusted = [[0] * plan.n for _ in range(plan.k)]
+    for i, (prow, srow) in enumerate(zip(plan.entries, shifts.shifts)):
+        for j, (hours, s) in enumerate(zip(prow, srow)):
+            if s != 0 and hours == 0:
+                raise PlanError(f"cell ({i + 1},{j + 1}) is empty but marked to move")
+            adjusted[i][j + s] += hours
+    return AnnualPlan(tuple(tuple(row) for row in adjusted))

@@ -240,6 +240,25 @@ def test_exit_parse_errors(tmp_path: Path):
     assert cp.stderr.startswith("repair-leveler: parse error")
 
 
+@pytest.mark.parametrize(
+    "cell, where",
+    [("7" * 5000, "row 3, column 2"), ("x" * 200_000, "row 3")],
+    ids=["too-many-digits", "past-csv-field-limit"],
+)
+def test_exit_parse_error_on_oversized_cell(cell: str, where: str, tmp_path: Path):
+    if len(cell) == 5000 and not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+        pytest.skip("this interpreter reads a 5000-digit integer")
+    plan = tmp_path / "plan.csv"
+    plan.write_text(f"month_1,month_2\n1,2\n3,{cell}\n")
+    cp = run_cli("--input", str(plan), "--output-dir", str(tmp_path / "o"))
+    assert cp.returncode == 1, cp.stderr
+    # the program's one diagnostic line, no traceback, and not the value
+    assert cp.stderr.startswith(f"repair-leveler: parse error: {where}")
+    assert cp.stderr.count("\n") == 1
+    assert len(cp.stderr) < 150
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_unwritable_output_dir(golden_csv: Path, tmp_path: Path):
     taken = tmp_path / "taken"
     taken.write_text("a file, not a directory\n")

@@ -1,10 +1,14 @@
+import importlib.util
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repair_leveler import (
+    AnnualPlan,
     MonthlyLoads,
     Objective,
     PlanParseError,
@@ -17,8 +21,11 @@ from repair_leveler import (
     write_plan,
     write_shift_matrix,
 )
-from repair_leveler.io import build_report, render_report, standard_form_to_dict
+from repair_leveler.io import _csv_rows, _parse_plain, _parse_rows, build_report, render_report, standard_form_to_dict
 from helpers import GOLDEN_PLAN
+
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_digit_limit = pytest.mark.skipif(INT_DIGITS == 0, reason="this interpreter reads integers of any length")
 
 
 def test_parse_with_header(tmp_path: Path):
@@ -157,6 +164,29 @@ def test_parse_utf8_bom_on_stream_matches_plain_stream(tmp_path: Path):
         assert parse_plan(fh) == parse_plan(io.StringIO("10,20\n5,6\n"))
 
 
+@needs_int_digit_limit
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["plain", "cell-walk"])
+def test_parse_names_a_cell_too_long_for_int(newline):
+    digits = "7" * max(5000, INT_DIGITS + 1)
+    text = newline.join(["month_1,month_2", "1,2", f"3,{digits}", "4,5"]) + newline
+    with pytest.raises(PlanParseError) as exc:
+        parse_plan(io.StringIO(text))
+    assert (exc.value.row, exc.value.column) == (3, 2)
+    assert "too long" in str(exc.value)
+    assert len(str(exc.value)) < 100  # the value is not echoed
+
+
+@pytest.mark.parametrize("cell", ["7" * 200_000, "x" * 200_000], ids=["digits", "text"])
+@pytest.mark.parametrize("where", ["header", "data"])
+def test_parse_cell_past_csv_field_limit(cell, where):
+    rows = [f"month_1,{cell}", "1,2"] if where == "header" else ["month_1,month_2", "1,2", f"3,{cell}"]
+    with pytest.raises(PlanParseError) as exc:
+        parse_plan(io.StringIO("\n".join(rows) + "\n"))
+    assert "field larger than field limit" in str(exc.value)
+    assert exc.value.row == (len(rows) if where == "data" else 1)
+    assert len(str(exc.value)) < 100
+
+
 def test_parse_rejects_bytes_that_are_not_utf8(tmp_path: Path):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"1,2\n\xff,3\n")
@@ -164,6 +194,103 @@ def test_parse_rejects_bytes_that_are_not_utf8(tmp_path: Path):
         parse_plan(bad)
     with open(bad, encoding="utf-8", newline="") as fh, pytest.raises(PlanParseError, match="UTF-8"):
         parse_plan(fh)
+
+
+def _walk(text: str):
+    """The cell walk alone: the csv reader, then _parse_rows."""
+    return _parse_rows(_csv_rows(text.removeprefix("\ufeff")))
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except PlanParseError as exc:
+        return str(exc), exc.row, exc.column
+
+
+ODD_CELLS = (
+    "007", "-3", "+4", "-0", " 7", "8 ", "\t6", '"9"', '" 5 "', '"1,2"', "", " ",
+    "x", "1_0", "\u0663", "2.5", "month_1",
+)
+
+
+@st.composite
+def plan_texts(draw):
+    """Plan texts in the plain shape or departing from it, each way with
+    odds of one in four, in ways the csv reader and the walk accept or
+    refuse."""
+
+    def departs() -> bool:
+        return draw(st.integers(0, 3)) == 0
+
+    n = draw(st.integers(1, 5)) if departs() else draw(st.integers(2, 5))
+    odd = draw(st.floats(0, 0.3)) if departs() else 0  # the share of cells drawn from ODD_CELLS
+    ragged = departs()
+    lines = []
+    for _ in range(draw(st.integers(0 if departs() else 1, 6))):
+        width = draw(st.integers(1, n + 2)) if ragged and draw(st.booleans()) else n
+        lines.append(",".join(
+            draw(st.sampled_from(ODD_CELLS)) if draw(st.floats(0, 1)) < odd else str(draw(st.integers(0, 10**6)))
+            for _ in range(width)
+        ))
+    if departs():  # blank and whitespace-only rows
+        for _ in range(draw(st.integers(1, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", " ", "\t", ",", " , "))))
+    if draw(st.booleans()):
+        headers = (",".join(f"month_{j + 1}" for j in range(n)), "a,b", "month_1", " a , b ")
+        if departs():
+            headers = ('"a","b"', '"1","2"', "a\rb,c", "a,\x00", "a,1", "+5,+6", ",")
+        lines.insert(0, draw(st.sampled_from(headers)))
+    newline = "\r\n" if departs() else "\n"
+    text = newline.join(lines) + ("" if departs() else newline)
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+@settings(max_examples=400, deadline=None)
+@given(plan_texts())
+def test_parse_matches_cell_walk(text):
+    # the same plan, or the same message, row and column
+    assert _outcome(lambda t: parse_plan(io.StringIO(t)), text) == _outcome(_walk, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['"1","2"\n3,4\n', "a\rb,c\n1,2\n", "a,b\r\n1,2\r\n", "1,2\n3,4", "a,b\n\n1,2\n", "a,b\n1,+2\n", "5\n6\n"],
+    ids=["quoted-header", "cr-in-header", "crlf", "no-final-newline", "blank-line", "signed-cell", "one-column"],
+)
+def test_parse_plain_leaves_other_texts_to_the_walk(text):
+    assert _parse_plain(text) is None
+    assert _outcome(lambda t: parse_plan(io.StringIO(t)), text) == _outcome(_walk, text)
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 52).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 10**4)] * n), min_size=1, max_size=8)
+    ),
+    st.booleans(),
+)
+def test_plain_path_reads_benchmark_shaped_texts(rows, header):
+    text = workloads.Case(tuple(rows), (), header).csv_text()
+    assert _parse_plain(text) == _walk(text) == AnnualPlan(tuple(rows))
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_plain_path_reads_every_benchmark_plan(name):
+    for case in workloads.generate(name, 1):
+        assert _parse_plain(case.csv_text()) == AnnualPlan(case.rows)
 
 
 def test_write_plan_round_trip(tmp_path: Path):

@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -70,6 +71,29 @@ DEAD = ((8, 0, 1, 5, 0, 2, 0, 2),)
 SHORT = ((5, 0, 2), (3, 1, 0))
 SIX = ((3, 0, 5, 1, 0, 2), (4, 1, 2, 0, 0, 6))
 
+
+def _lumpy_rows(seed: int, k: int, n: int, lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
+    """k x n plan: each month's lo..hi hours split at random cut points
+    over a random half of the items, so cells range from one hour to
+    most of the month."""
+    rng = random.Random(seed)
+    cols = []
+    for _ in range(n):
+        target = rng.randint(lo, hi)
+        items = rng.sample(range(k), k // 2)
+        cuts = sorted(rng.sample(range(1, target), len(items) - 1))
+        col = [0] * k
+        for i, a, b in zip(items, [0, *cuts], [*cuts, target]):
+            col[i] = b - a
+        cols.append(col)
+    return tuple(zip(*cols))
+
+
+# benchmark-sized plans: a fleet year at 400-1200 h a month and a
+# 52-week plan at 20-55 h a week
+FLEET = _lumpy_rows(1, 100, 12, 400, 1200)
+WEEKLY = _lumpy_rows(2, 30, 52, 20, 55)
+
 PINNED_RUNS = {
     **{
         f"golden-{method}-{objective}{'-verify' if verify else ''}": (
@@ -92,13 +116,22 @@ PINNED_RUNS = {
         for objective in ("l1", "quadratic")
         for verify in (False, True)
     },
+    **{
+        f"{name}-{method}-{objective}": (rows, ("--method", method, "--objective", objective))
+        for name, rows, method in (("fleet", FLEET, "greedy"), ("weekly", WEEKLY, "exact"))
+        for objective in ("l1", "quadratic")
+    },
 }
 
-# recorded from the program before _chain_dp cut its dead states; a change
-# that moves an emitted byte re-records them and says why
+# recorded from the program before _chain_dp cut its dead states, the
+# fleet and weekly runs before parse_plan's one-pass path and realization
+# by month column; a change that moves an emitted byte re-records them and
+# says why
 PINNED_DIGESTS = {
     "dead-bisection-l1": "e7f7e353048c3be22f2f5c6934185cc776c5ca568f763896499fc5a0e8011c9c",
     "dead-bisection-quadratic": "2acee49ded648616bff38c78a0fde319de56b2b2b83636f2b66029ebb3d87386",
+    "fleet-greedy-l1": "8026ad67293bb01b389d5acfe7f2571557667e08f15f1da35e9471fb0e030dd3",
+    "fleet-greedy-quadratic": "7f5132122c3cb39558d90acb4b3c4e60d7273a959807bcae8d73497cf2abfa3e",
     "golden-bisection-l1": "271688a26010291b37999c12cba2a814c4fc324e7415ab4cd8c4364723246922",
     "golden-bisection-l1-verify": "86aa1e629b2727b8c64bba230b76b293ce51787c90087ccc96be507fea54bf28",
     "golden-bisection-quadratic": "6c4daf7562b2569e1d2cf52bac61c4bcd0ee9fb62ed6b95bffb158ef60f3ad53",
@@ -120,6 +153,8 @@ PINNED_DIGESTS = {
     "six-bisection-l1-verify": "d65bb1a8b7b1e7973eccd62e2fd42cbb925620e3f5dd8c44151f88185f0f0f6e",
     "six-bisection-quadratic": "23b5cb78a773b7f387efd3178737a3b8198379949c423d63887a8584e66f756c",
     "six-bisection-quadratic-verify": "59ac89c8e394d904e9c3031619761b8799576ca0784051f3b1a1f8d6549cb7b6",
+    "weekly-exact-l1": "3807c6271447c1079bede30c23f3aa8afb6f6d9ec67a4f403eac5ae611f1a953",
+    "weekly-exact-quadratic": "4f53863846a06bef66f6095f941c64d44680d95aa17a842852936078b14264df",
 }
 
 
