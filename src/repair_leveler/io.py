@@ -39,13 +39,16 @@ def _int_like(cell: str) -> bool:
     try:
         int(cell)
     except ValueError:
-        return False
+        # int() also refuses a number past sys.get_int_max_str_digits()
+        digits = cell[1:] if cell[:1] in ("+", "-") else cell
+        return digits.isdecimal()
     return True
 
 
 def _is_header(cells: list[str]) -> bool:
-    """A header holds nothing int() reads as a number; any other first row
-    is data, so "1,x" or "+5,+6" fails at its bad cell."""
+    """A header holds nothing int() reads as a number, whatever its length;
+    any other first row is data, so "1,x", "+5,+6" or a cell too long
+    for int() fails at its bad cell."""
     return not any(map(_int_like, cells))
 
 

@@ -125,13 +125,22 @@ def _chain_dp(L, cost, fixed=None):
     (Topkis). One pointer per stage therefore walks the next table once:
     for each x it resumes at the previous argmin and steps only while
     that strictly lowers the value, so it stops at the smallest argmin,
-    the flow the sweep records. A stage costs O(|dom_j| + |dom_j+1|)
-    evaluations instead of O(|dom_j| * |dom_j+1|). The pointer never
+    the flow the sweep records. A stage compares O(|dom_j| + |dom_j+1|)
+    transitions instead of O(|dom_j| * |dom_j+1|). The pointer never
     passes an inflow's largest affordable outflow, because both only
     move forward and the raised bound makes the first one affordable.
 
-    Returns (best scaled cost, flows tuple, cost evaluations in the
-    backward sweep).
+    cost runs once per month load, into a table C read by the sweep. The
+    load u = L[j] + x - y of month j lies in [0, peak], where peak is the
+    largest L[j-1] + L[j] + L[j+1] (0 past either end). u >= 0 because
+    the outflow y never passes the pool L[j] + x, so no index wraps
+    around. u <= peak because x <= L[j-1] and y >= -L[j+1], and pins and
+    raised bounds only narrow those ranges. The last month's table is the
+    slice of C at loads L[n-1] + x.
+
+    Returns (best scaled cost, flows tuple, transitions the backward sweep
+    compares: one per state of the last month, and for each earlier state
+    its first pick plus every pointer step it tries).
     """
     n = len(L)
     doms = [(0, 0)]  # inflow domain per month
@@ -141,13 +150,16 @@ def _chain_dp(L, cost, fixed=None):
             doms.append((v, v))
         else:
             doms.append((-L[b + 1], L[b]))
+    padded = (0, *L, 0)
+    peak = max(map(sum, zip(padded, padded[1:], padded[2:])))
+    C = list(map(cost, range(peak + 1)))  # C[u]: the cost of a month load u
 
     # nxt[y - lo1] = least cost of months j+1..n-1 given inflow y into month j+1
     lo, hi = doms[n - 1]
     last = L[n - 1]
-    nxt = [cost(last + x) for x in range(lo, hi + 1)]
+    nxt = C[last + lo : last + hi + 1]
     visited = hi - lo + 1
-    # argmins[j][x - lo] = smallest best outflow of month j given inflow x
+    # argmins[j][x - lo] = smallest best outflow of month j given inflow x, less lo1
     argmins: list[list[int]] = [[] for _ in range(n - 1)]
     for j in range(n - 2, -1, -1):
         lo1, hi1 = doms[j + 1]
@@ -159,30 +171,35 @@ def _chain_dp(L, cost, fixed=None):
         if lo > hi:
             raise PlanError("no feasible transfer vector")  # pins that no vector affords together
         doms[j] = (lo, hi)
+        span = hi1 - lo1
         vals = []
         picks = argmins[j]
         i = 0  # argmin index y - lo1; only moves forward
-        for x in range(lo, hi + 1):
-            pool = month + x  # hours in month j before its own outflow
-            top = (pool if pool < hi1 else hi1) - lo1  # as an index; outflow past the pool goes negative
-            rest = pool - lo1
-            best = cost(rest - i) + nxt[i]
-            visited += 1
+        at_top = 0  # states whose pointer stopped at its top, with no step refused
+        # rest = L[j] + x - lo1: month j's hours above its smallest outflow
+        for rest in range(month + lo - lo1, month + hi - lo1 + 1):
+            top = rest if rest < span else span  # as an index; outflow past the pool goes negative
+            u = rest - i  # month j's load at outflow i + lo1
+            best = C[u] + nxt[i]
             while i < top:
-                c = cost(rest - i - 1) + nxt[i + 1]
-                visited += 1
+                c = C[u - 1] + nxt[i + 1]
                 if c >= best:
                     break
                 best = c
                 i += 1
+                u -= 1
+            else:
+                at_top += 1
             vals.append(best)
-            picks.append(i + lo1)
+            picks.append(i)
+        # each state's first pick, the i steps taken, one refused step per state not at its top
+        visited += 2 * len(vals) + i - at_top
         nxt = vals
 
     xs: list[int] = []
     x = 0
     for j in range(n - 1):
-        x = argmins[j][x - doms[j][0]]
+        x = argmins[j][x - doms[j][0]] + doms[j + 1][0]
         xs.append(x)
     return nxt[0], tuple(xs), visited
 
@@ -200,7 +217,7 @@ def solve_exact(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> S
     for n months of up to L hours: both per-month costs are convex, so
     each month's best outflow never decreases as its inflow grows and one
     forward-only pointer per boundary finds it. visited_states counts the
-    cost evaluations of the DP's backward sweep, at most three per
+    transitions the DP's backward sweep compares, at most three per
     inflow state.
     """
     L = loads.loads

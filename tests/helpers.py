@@ -4,8 +4,11 @@ Every draw goes through an explicit random.Random so each test is
 reproducible from its seed alone.
 """
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from repair_leveler import (
     AnnualPlan,
@@ -33,6 +36,19 @@ GOLDEN_PLAN = AnnualPlan((
 ))
 
 GOLDEN_LOADS = MonthlyLoads((50, 40, 44, 51))
+
+
+def load_perfbench_workloads():
+    """The benchmark's plan generators, perfbench/workloads.py, loaded by
+    path: the benchmark directory is not a package."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses looks its module up while the file runs
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def random_loads(rng: random.Random, n: int, max_load: int) -> MonthlyLoads:
@@ -136,6 +152,92 @@ def quadratic_chain_dp(L, cost, fixed=None):
             raise AssertionError("suffix table and reconstruction disagree")
     dead = sum(v is None for vals in suffix for v in vals)
     return best_total, tuple(xs), dead
+
+
+def pointer_chain_dp(L, cost, fixed=None):
+    """Reference for solvers._chain_dp: the same sweep calling cost on
+    every state it compares, with the work counted as it goes.
+
+    Minimize the summed per-month cost over integer boundary flows.
+
+    The state of month j is its inflow x_{j-1}, the flow at boundary j-1,
+    in [-L[j], L[j-1]]; month 0's only inflow is 0. Month j costs
+    cost(L[j] + x_{j-1} - x_j), so a backward sweep of suffix minima is
+    exact. The sweep records each state's smallest best outflow, and the
+    flows follow those records from inflow 0: the smallest flow at every
+    stage, which yields the lexicographically smallest optimal vector.
+    `fixed` pins chosen boundaries (0-based) to a single value. Each stage
+    first raises its inflow bound until every inflow can pay the next
+    month's smallest one, so no table holds a state without an outflow;
+    a bound raised past its top means no vector affords the pins.
+
+    The sweep is linear in month hours. cost is convex (and +inf below a
+    zero load), so every suffix table is convex, stage j's value
+    cost(L[j] + x - y) + suffix[j+1][y] has decreasing differences in
+    (x, y), and its smallest argmin y never decreases as x grows
+    (Topkis). One pointer per stage therefore walks the next table once:
+    for each x it resumes at the previous argmin and steps only while
+    that strictly lowers the value, so it stops at the smallest argmin,
+    the flow the sweep records. A stage costs O(|dom_j| + |dom_j+1|)
+    evaluations instead of O(|dom_j| * |dom_j+1|). The pointer never
+    passes an inflow's largest affordable outflow, because both only
+    move forward and the raised bound makes the first one affordable.
+
+    Returns (best scaled cost, flows tuple, cost evaluations in the
+    backward sweep).
+    """
+    n = len(L)
+    doms = [(0, 0)]  # inflow domain per month
+    for b in range(n - 1):
+        if fixed is not None and b in fixed:
+            v = fixed[b]
+            doms.append((v, v))
+        else:
+            doms.append((-L[b + 1], L[b]))
+
+    # nxt[y - lo1] = least cost of months j+1..n-1 given inflow y into month j+1
+    lo, hi = doms[n - 1]
+    last = L[n - 1]
+    nxt = [cost(last + x) for x in range(lo, hi + 1)]
+    visited = hi - lo + 1
+    # argmins[j][x - lo] = smallest best outflow of month j given inflow x
+    argmins: list[list[int]] = [[] for _ in range(n - 1)]
+    for j in range(n - 2, -1, -1):
+        lo1, hi1 = doms[j + 1]
+        month = L[j]
+        # an inflow below lo1 - month leaves month j too few hours to pay lo1
+        lo, hi = doms[j]
+        if lo < lo1 - month:
+            lo = lo1 - month
+        if lo > hi:
+            raise PlanError("no feasible transfer vector")  # pins that no vector affords together
+        doms[j] = (lo, hi)
+        vals = []
+        picks = argmins[j]
+        i = 0  # argmin index y - lo1; only moves forward
+        for x in range(lo, hi + 1):
+            pool = month + x  # hours in month j before its own outflow
+            top = (pool if pool < hi1 else hi1) - lo1  # as an index; outflow past the pool goes negative
+            rest = pool - lo1
+            best = cost(rest - i) + nxt[i]
+            visited += 1
+            while i < top:
+                c = cost(rest - i - 1) + nxt[i + 1]
+                visited += 1
+                if c >= best:
+                    break
+                best = c
+                i += 1
+            vals.append(best)
+            picks.append(i + lo1)
+        nxt = vals
+
+    xs: list[int] = []
+    x = 0
+    for j in range(n - 1):
+        x = argmins[j][x - doms[j][0]]
+        xs.append(x)
+    return nxt[0], tuple(xs), visited
 
 
 def dict_subset_select(problem: SelectionProblem) -> tuple[int, ...]:

@@ -1,4 +1,3 @@
-import importlib.util
 import io
 import json
 import sys
@@ -22,7 +21,7 @@ from repair_leveler import (
     write_shift_matrix,
 )
 from repair_leveler.io import _csv_rows, _parse_plain, _parse_rows, build_report, render_report, standard_form_to_dict
-from helpers import GOLDEN_PLAN
+from helpers import GOLDEN_PLAN, load_perfbench_workloads
 
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_int_digit_limit = pytest.mark.skipif(INT_DIGITS == 0, reason="this interpreter reads integers of any length")
@@ -168,12 +167,17 @@ def test_parse_utf8_bom_on_stream_matches_plain_stream(tmp_path: Path):
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["plain", "cell-walk"])
 def test_parse_names_a_cell_too_long_for_int(newline):
     digits = "7" * max(5000, INT_DIGITS + 1)
-    text = newline.join(["month_1,month_2", "1,2", f"3,{digits}", "4,5"]) + newline
-    with pytest.raises(PlanParseError) as exc:
-        parse_plan(io.StringIO(text))
-    assert (exc.value.row, exc.value.column) == (3, 2)
-    assert "too long" in str(exc.value)
-    assert len(str(exc.value)) < 100  # the value is not echoed
+    cases = {
+        (3, 2): ["month_1,month_2", "1,2", f"3,{digits}", "4,5"],
+        # a first row of such cells is data, not a header to drop
+        (1, 1): [f"{digits},{digits}", "1,2"],
+    }
+    for where, rows in cases.items():
+        with pytest.raises(PlanParseError) as exc:
+            parse_plan(io.StringIO(newline.join(rows) + newline))
+        assert (exc.value.row, exc.value.column) == where
+        assert "too long" in str(exc.value)
+        assert len(str(exc.value)) < 100  # the value is not echoed
 
 
 @pytest.mark.parametrize("cell", ["7" * 200_000, "x" * 200_000], ids=["digits", "text"])
@@ -263,16 +267,7 @@ def test_parse_plain_leaves_other_texts_to_the_walk(text):
     assert _outcome(lambda t: parse_plan(io.StringIO(t)), text) == _outcome(_walk, text)
 
 
-def _load_workloads():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load_workloads()
+workloads = load_perfbench_workloads()
 
 
 @settings(max_examples=100, deadline=None)

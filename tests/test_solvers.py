@@ -22,11 +22,14 @@ from repair_leveler import (
     standard_form,
     validate_transfers,
 )
+from repair_leveler.cli import _solve, build_parser
 from repair_leveler.solvers import _chain_dp, _scaled_month_cost
 from helpers import (
     GOLDEN_LOADS,
     SWEEP_LOAD_CAP,
     direct_deviation,
+    load_perfbench_workloads,
+    pointer_chain_dp,
     quadratic_chain_dp,
     random_feasible_transfers,
     random_loads,
@@ -433,8 +436,8 @@ _Q52 = (
 _DEAD = (8, 0, 1, 5, 0, 2, 0, 2)
 L1, QD = Objective.L1, Objective.QUADRATIC
 
-# visited_states of each case below: the cost evaluations of the chain
-# DP's backward sweep, plus the flows bisection's three split scans try
+# visited_states of each case below: the transitions the chain DP's
+# backward sweep compares, plus the flows bisection's three split scans try
 _SWEEP_WORK = {
     (_N2, L1): 15, (_N2, QD): 15,
     (_N5, L1): 285, (_N5, QD): 314,
@@ -498,9 +501,9 @@ _H20K = (20110, 19875, 20342, 19601, 20087, 19930, 20456, 19722, 20015, 19808, 2
 @pytest.mark.parametrize("objective", [L1, QD])
 @pytest.mark.parametrize("loads", [_H4K, _H20K])
 def test_exact_work_is_linear_in_month_hours(loads, objective):
-    # each inflow state costs at most 2 evaluations plus its pointer
+    # each inflow state compares at most 2 transitions plus its pointer
     # advances, and the pointer crosses the next table once, so the sweep
-    # makes at most 3 evaluations per state of the total domain width D
+    # compares at most 3 transitions per state of the total domain width D
     width = 1 + sum(loads[b] + loads[b + 1] + 1 for b in range(len(loads) - 1))
     result = solve_exact(MonthlyLoads(loads), SolverConfig(objective))
     assert 0 < result.visited_states <= 3 * width
@@ -520,9 +523,9 @@ def chain_cases(draw):
     return L, cost, fixed or None
 
 
-def _chain_outcome(dp, case):
+def _chain_outcome(dp, case, parts=2):
     try:
-        return dp(*case)[:2]
+        return dp(*case)[:parts]
     except PlanError:
         return "infeasible"
 
@@ -531,6 +534,47 @@ def _chain_outcome(dp, case):
 @given(chain_cases())
 def test_chain_dp_matches_quadratic_reference(case):
     assert _chain_outcome(_chain_dp, case) == _chain_outcome(quadratic_chain_dp, case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_cases())
+def test_chain_dp_matches_pointer_reference(case):
+    # the sweep that calls cost on every state it compares: the same value,
+    # flows and work count, and the same refusal of unaffordable pins
+    assert _chain_outcome(_chain_dp, case, 3) == _chain_outcome(pointer_chain_dp, case, 3)
+
+
+@pytest.mark.parametrize("objective", [L1, QD])
+@pytest.mark.parametrize("loads", [_H4K, _H20K])
+def test_chain_dp_matches_pointer_reference_at_scale(loads, objective):
+    cost, _ = _scaled_month_cost(objective, len(loads), sum(loads))
+    assert _chain_dp(loads, cost) == pointer_chain_dp(loads, cost)
+
+
+workloads = load_perfbench_workloads()
+
+# solvers.visited_states summed over each benchmark workload's seed-1
+# plans, each solved with the method and objective its flags name;
+# shifts-only plans solve nothing. Recorded before the chain DP read its
+# costs from a table, which left every count as it was.
+_WORKLOAD_WORK = {
+    "annual-exact": 449_091,
+    "desk-verify": 72_889,
+    "fleet-greedy": 1_100,
+    "weekly-52": 915_888,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WORKLOAD_WORK))
+def test_benchmark_solver_work_is_pinned(name):
+    parser = build_parser()
+    total = 0
+    for case in workloads.generate(name, 1):
+        args = parser.parse_args(["--input", "plan.csv", *case.flags])
+        if not args.shifts_only:
+            loads = column_sums(AnnualPlan(case.rows))
+            total += _solve(loads, Objective(args.objective), args.method).visited_states
+    assert total == _WORKLOAD_WORK[name]
 
 
 def test_chain_cases_include_dead_states():
