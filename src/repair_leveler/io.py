@@ -267,9 +267,65 @@ def build_report(
     return doc
 
 
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _render_json(value, indent: str, out) -> None:
+    """Pass value's JSON text, laid out as by json.dumps(indent=2), to out
+    piece by piece; indent is the newline and spaces of value's own line.
+
+    Plain ints, the report's usual value, are rendered in place rather
+    than by a call per number.
+    """
+    if isinstance(value, str):
+        out(_json_str(value))
+    elif isinstance(value, int):
+        if isinstance(value, bool):
+            out("true" if value else "false")
+        else:
+            out(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(item) is int:
+                out(sep + _json_str(key) + ": " + int.__repr__(item))
+            else:
+                out(sep + _json_str(key) + ": ")
+                _render_json(item, inner, out)
+            sep = "," + inner
+        out(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out("[]")
+        elif set(map(type, value)) == {int}:
+            inner = indent + "  "
+            out("[" + inner + ("," + inner).join(map(int.__repr__, value)) + indent + "]")
+        else:
+            inner = indent + "  "
+            sep = "[" + inner
+            for item in value:
+                out(sep)
+                _render_json(item, inner, out)
+                sep = "," + inner
+            out(indent + "]")
+    else:  # floats, non-finite ones too, and None
+        out(json.dumps(value))
+
+
 def render_report(report: dict) -> str:
-    """Deterministic JSON rendering, keys in the order build_report set them."""
-    return json.dumps(report, indent=2) + "\n"
+    """Deterministic JSON rendering, keys in the order build_report set them.
+
+    The text is json.dumps(report, indent=2) plus a newline, built here
+    because json renders an indented document with its pure-Python encoder.
+    """
+    parts: list[str] = []
+    _render_json(report, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def standard_form_to_dict(qp: StandardFormQP) -> dict:

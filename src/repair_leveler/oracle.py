@@ -8,11 +8,10 @@ truncated reference would be worse than none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError
-from .plan import AnnualPlan, MonthlyLoads, ShiftMatrix, TransferVector, column_sums
+from .plan import AnnualPlan, MonthlyLoads, ShiftMatrix, TransferVector, _Frozen, column_sums
 from .realization import SelectionProblem
 from .solvers import Objective, SolveResult, _scaled_month_cost
 
@@ -24,19 +23,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(_Frozen):
     """Hard limits for the exhaustive searches.
 
     max_states caps visited search nodes; the remaining fields refuse
     instances that could not finish inside it anyway.
     """
 
-    max_states: int = 5_000_000
-    max_months: int = 6  # transfer search
-    max_month_load: int = 60  # transfer search, per month
-    max_cells: int = 12  # shift search, k*n
-    max_items: int = 20  # subset scan
+    __slots__ = ("max_states", "max_months", "max_month_load", "max_cells", "max_items")
+
+    def __init__(
+        self,
+        max_states: int = 5_000_000,
+        max_months: int = 6,  # transfer search
+        max_month_load: int = 60,  # transfer search, per month
+        max_cells: int = 12,  # shift search, k*n
+        max_items: int = 20,  # subset scan
+    ):
+        object.__setattr__(self, "max_states", max_states)
+        object.__setattr__(self, "max_months", max_months)
+        object.__setattr__(self, "max_month_load", max_month_load)
+        object.__setattr__(self, "max_cells", max_cells)
+        object.__setattr__(self, "max_items", max_items)
 
 
 def brute_force_transfers(

@@ -15,11 +15,14 @@ never a bool, inside given bounds; here and in
 `realization.SelectionProblem`) and `_matrix_rows` (the shape of a plan
 or shift matrix). A broken rule raises PlanError, whose message is built
 only then.
+
+The value types here and in the other library modules derive from
+`_Frozen`: immutable slotted classes compared by value, whose
+constructors run every check, also when pickle or copy rebuilds them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -76,14 +79,53 @@ def _matrix_rows(matrix, what: str, row_name: str) -> tuple[tuple, ...]:
     return rows
 
 
-@dataclass(frozen=True)
-class AnnualPlan:
+class _Frozen:
+    """Base of the immutable value types.
+
+    A subclass lists its fields in `__slots__`, in order, and its
+    `__init__` checks them and stores each with object.__setattr__.
+    Values of one class compare, hash and print by their field tuple.
+    `__reduce__` hands pickle and copy that tuple, so a rebuilt value goes
+    through `__init__` and its checks again.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class AnnualPlan(_Frozen):
     """Repair plan matrix: one row per equipment item, one column per month."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        rows = _matrix_rows(self.entries, "plan", "equipment row")
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        rows = _matrix_rows(entries, "plan", "equipment row")
         bad = _first_bad_int(tuple(chain.from_iterable(rows)), lo=0)
         if bad is not None:
             i, j = divmod(bad, len(rows[0]))
@@ -102,14 +144,13 @@ class AnnualPlan:
         return sum(sum(row) for row in self.entries)
 
 
-@dataclass(frozen=True)
-class MonthlyLoads:
+class MonthlyLoads(_Frozen):
     """Total repair hours per month, for at least two months."""
 
-    loads: tuple[int, ...]
+    __slots__ = ("loads",)
 
-    def __post_init__(self):
-        loads = tuple(self.loads)
+    def __init__(self, loads: tuple[int, ...]):
+        loads = tuple(loads)
         if len(loads) < 2:
             raise PlanError("monthly loads need at least two months")
         bad = _first_bad_int(loads, lo=0)
@@ -125,14 +166,13 @@ class MonthlyLoads:
         return sum(self.loads)
 
 
-@dataclass(frozen=True)
-class TransferVector:
+class TransferVector(_Frozen):
     """Integer hours moved across each month boundary (positive = forward)."""
 
-    x: tuple[int, ...]
+    __slots__ = ("x",)
 
-    def __post_init__(self):
-        xs = tuple(self.x)
+    def __init__(self, x: tuple[int, ...]):
+        xs = tuple(x)
         if not xs:
             raise PlanError("a transfer vector needs at least one boundary")
         bad = _first_bad_int(xs)
@@ -141,14 +181,13 @@ class TransferVector:
         object.__setattr__(self, "x", xs)
 
 
-@dataclass(frozen=True)
-class ShiftMatrix:
+class ShiftMatrix(_Frozen):
     """Per-cell month shifts: -1 one month earlier, 0 stay, +1 one month later."""
 
-    shifts: tuple[tuple[int, ...], ...]
+    __slots__ = ("shifts",)
 
-    def __post_init__(self):
-        rows = _matrix_rows(self.shifts, "shift matrix", "row")
+    def __init__(self, shifts: tuple[tuple[int, ...], ...]):
+        rows = _matrix_rows(shifts, "shift matrix", "row")
         bad = _first_bad_int(tuple(chain.from_iterable(rows)), lo=-1, hi=1)
         if bad is not None:
             i, j = divmod(bad, len(rows[0]))

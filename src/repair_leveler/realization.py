@@ -25,7 +25,6 @@ total hours)) bits for m donor cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 
 from .errors import PlanError
@@ -34,6 +33,7 @@ from .plan import (
     ShiftMatrix,
     TransferVector,
     _first_bad_int,
+    _Frozen,
     apply_shift_matrix,
     column_sums,
     validate_transfers,
@@ -42,21 +42,20 @@ from .plan import (
 __all__ = ["SelectionProblem", "RealizationResult", "subset_select", "realize_transfers"]
 
 
-@dataclass(frozen=True)
-class SelectionProblem:
+class SelectionProblem(_Frozen):
     """Bounded subset-sum: maximize the total of chosen items without passing capacity."""
 
-    items: tuple[int, ...]
-    capacity: int
+    __slots__ = ("items", "capacity")
 
-    def __post_init__(self):
-        items = tuple(self.items)
+    def __init__(self, items: tuple[int, ...], capacity: int):
+        items = tuple(items)
         bad = _first_bad_int(items, lo=1)
         if bad is not None:
             raise PlanError(f"item {bad + 1} must be a positive integer, got {items[bad]!r}")
-        if _first_bad_int((self.capacity,), lo=0) is not None:
-            raise PlanError(f"capacity must be a non-negative integer, got {self.capacity!r}")
+        if _first_bad_int((capacity,), lo=0) is not None:
+            raise PlanError(f"capacity must be a non-negative integer, got {capacity!r}")
         object.__setattr__(self, "items", items)
+        object.__setattr__(self, "capacity", capacity)
 
 
 def subset_select(problem: SelectionProblem) -> tuple[int, ...]:
@@ -133,8 +132,7 @@ def subset_select(problem: SelectionProblem) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-@dataclass(frozen=True)
-class RealizationResult:
+class RealizationResult(_Frozen):
     """Outcome of realizing a transfer vector cell by cell.
 
     achieved holds the hours actually moved per boundary (magnitudes, the
@@ -143,11 +141,21 @@ class RealizationResult:
     boundary chose from, in row order, and () where nothing was requested.
     """
 
-    shift_matrix: ShiftMatrix
-    achieved: tuple[int, ...]
-    residuals: tuple[int, ...]
-    adjusted_plan: AnnualPlan
-    pools: tuple[tuple[int, ...], ...]
+    __slots__ = ("shift_matrix", "achieved", "residuals", "adjusted_plan", "pools")
+
+    def __init__(
+        self,
+        shift_matrix: ShiftMatrix,
+        achieved: tuple[int, ...],
+        residuals: tuple[int, ...],
+        adjusted_plan: AnnualPlan,
+        pools: tuple[tuple[int, ...], ...],
+    ):
+        object.__setattr__(self, "shift_matrix", shift_matrix)
+        object.__setattr__(self, "achieved", achieved)
+        object.__setattr__(self, "residuals", residuals)
+        object.__setattr__(self, "adjusted_plan", adjusted_plan)
+        object.__setattr__(self, "pools", pools)
 
 
 def realize_transfers(plan: AnnualPlan, transfers: TransferVector) -> RealizationResult:

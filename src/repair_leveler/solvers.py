@@ -14,12 +14,11 @@ to exact fractions at the end.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
 from .errors import PlanError
-from .plan import MonthlyLoads, TransferVector, apply_transfers, mean_load, validate_transfers
+from .plan import MonthlyLoads, TransferVector, _Frozen, apply_transfers, mean_load, validate_transfers
 
 __all__ = [
     "Objective",
@@ -51,26 +50,30 @@ def deviation(loads: MonthlyLoads, objective: Objective) -> Fraction:
     return Fraction(sum(map(cost, loads.loads)), scale)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Frozen):
     """What the solvers minimize."""
 
-    objective: Objective = Objective.L1
+    __slots__ = ("objective",)
 
-    def __post_init__(self):
-        if not isinstance(self.objective, Objective):
-            raise PlanError(f"unknown objective {self.objective!r}")
+    def __init__(self, objective: Objective = Objective.L1):
+        if not isinstance(objective, Objective):
+            raise PlanError(f"unknown objective {objective!r}")
+        object.__setattr__(self, "objective", objective)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(_Frozen):
     """A feasible transfer vector plus the metric it achieves."""
 
-    transfers: TransferVector
-    objective_value: Fraction
-    method: str
-    optimal: bool
-    visited_states: int
+    __slots__ = ("transfers", "objective_value", "method", "optimal", "visited_states")
+
+    def __init__(
+        self, transfers: TransferVector, objective_value: Fraction, method: str, optimal: bool, visited_states: int
+    ):
+        object.__setattr__(self, "transfers", transfers)
+        object.__setattr__(self, "objective_value", objective_value)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "optimal", optimal)
+        object.__setattr__(self, "visited_states", visited_states)
 
 
 # ---------------------------------------------------------------------------
@@ -324,21 +327,24 @@ def _quadratic_form(linear, quadratic, vec) -> Fraction:
     return z
 
 
-@dataclass(frozen=True)
-class ShiftedVariableForm:
+class ShiftedVariableForm(_Frozen):
     """The same objective over non-negative variables via x_i = xbar_i - x0.
 
     `variables` names the columns (xbar_1..xbar_{n-1}, x0); linear and
     quadratic are the coefficients of z in those variables.
     """
 
-    variables: tuple[str, ...]
-    linear: tuple[Fraction, ...]
-    quadratic: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("variables", "linear", "quadratic")
+
+    def __init__(
+        self, variables: tuple[str, ...], linear: tuple[Fraction, ...], quadratic: tuple[tuple[Fraction, ...], ...]
+    ):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "linear", linear)
+        object.__setattr__(self, "quadratic", quadratic)
 
 
-@dataclass(frozen=True)
-class StandardFormQP:
+class StandardFormQP(_Frozen):
     """Slack-variable encoding of the quadratic leveling objective.
 
     Maximizing z(x) = linear_coeffs . x + x^T quadratic_coeffs x subject
@@ -348,14 +354,36 @@ class StandardFormQP:
     all slack variables non-negative.
     """
 
-    shifted_loads: tuple[Fraction, ...]  # per-month load minus the mean
-    linear_coeffs: tuple[Fraction, ...]  # over x_1..x_{n-1}
-    quadratic_coeffs: tuple[tuple[Fraction, ...], ...]  # symmetric, consecutive coupling
-    constraint_matrix: tuple[tuple[int, ...], ...]
-    constraint_rhs: tuple[int, ...]
-    variables: tuple[str, ...]  # column order of constraint_matrix
-    substitution: ShiftedVariableForm
-    constant_offset: Fraction  # sum of squared shifted loads
+    __slots__ = (
+        "shifted_loads",
+        "linear_coeffs",
+        "quadratic_coeffs",
+        "constraint_matrix",
+        "constraint_rhs",
+        "variables",
+        "substitution",
+        "constant_offset",
+    )
+
+    def __init__(
+        self,
+        shifted_loads: tuple[Fraction, ...],  # per-month load minus the mean
+        linear_coeffs: tuple[Fraction, ...],  # over x_1..x_{n-1}
+        quadratic_coeffs: tuple[tuple[Fraction, ...], ...],  # symmetric, consecutive coupling
+        constraint_matrix: tuple[tuple[int, ...], ...],
+        constraint_rhs: tuple[int, ...],
+        variables: tuple[str, ...],  # column order of constraint_matrix
+        substitution: ShiftedVariableForm,
+        constant_offset: Fraction,  # sum of squared shifted loads
+    ):
+        object.__setattr__(self, "shifted_loads", shifted_loads)
+        object.__setattr__(self, "linear_coeffs", linear_coeffs)
+        object.__setattr__(self, "quadratic_coeffs", quadratic_coeffs)
+        object.__setattr__(self, "constraint_matrix", constraint_matrix)
+        object.__setattr__(self, "constraint_rhs", constraint_rhs)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "substitution", substitution)
+        object.__setattr__(self, "constant_offset", constant_offset)
 
     def objective_z(self, x) -> Fraction:
         """Evaluate z at a transfer vector (any integers or rationals)."""

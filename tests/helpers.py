@@ -5,6 +5,7 @@ reproducible from its seed alone.
 """
 
 import importlib.util
+import json
 import random
 import sys
 from fractions import Fraction
@@ -49,6 +50,11 @@ def load_perfbench_workloads():
         sys.modules[name] = module  # dataclasses looks its module up while the file runs
         spec.loader.exec_module(module)
     return sys.modules[name]
+
+
+def json_report(doc) -> str:
+    """Reference for io.render_report: json's own indented rendering."""
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def random_loads(rng: random.Random, n: int, max_load: int) -> MonthlyLoads:

@@ -369,6 +369,22 @@ def test_library_import_leaves_cli_unloaded():
     assert cp.stdout == "False\n"
 
 
+def test_cold_start_skips_heavy_stdlib_modules():
+    # -S keeps site from preloading anything, so the child sees only what
+    # the command line itself imports; it also drops an editable install's
+    # path hook, hence the explicit src entry
+    import repair_leveler
+
+    src = str(Path(repair_leveler.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from repair_leveler.cli import build_parser; build_parser(); "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize') if m in sys.modules))"
+    )
+    cp = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "[]\n", f"the command line's import loads {cp.stdout.strip()}"
+
+
 def test_public_names_are_pinned():
     # written out in full so that adding or removing a public name shows in the diff
     import repair_leveler

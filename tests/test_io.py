@@ -1,3 +1,4 @@
+import enum
 import io
 import json
 import sys
@@ -21,7 +22,7 @@ from repair_leveler import (
     write_shift_matrix,
 )
 from repair_leveler.io import _csv_rows, _parse_plain, _parse_rows, build_report, render_report, standard_form_to_dict
-from helpers import GOLDEN_PLAN, load_perfbench_workloads
+from helpers import GOLDEN_PLAN, json_report, load_perfbench_workloads
 
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_int_digit_limit = pytest.mark.skipif(INT_DIGITS == 0, reason="this interpreter reads integers of any length")
@@ -364,6 +365,41 @@ def test_render_report_is_stable_json():
     doc = json.loads(text)
     assert doc == _golden_report()
     assert render_report(_golden_report()) == text
+
+
+def test_render_report_matches_json_dumps():
+    doc = _golden_report()
+    assert render_report(doc) == json_report(doc)
+    doc = {
+        "floats": [1.5, -0.0, 1e300, 5e-324, float("inf"), float("-inf"), float("nan")],
+        "empty": {"list": [], "dict": {}, "tuple": ()},
+        "scalars": [True, False, None, 0, -(10**40), "", "caf\u00e9 \U0001f600 \x00\x1f\"\\"],
+        "rows": [[1, 2], (3, 4), [True, 5]],
+        "subclasses": [Objective.QUADRATIC, enum.IntEnum("Level", "LOW HIGH").HIGH],
+    }
+    assert render_report(doc) == json_report(doc)
+
+
+_json_strings = st.text() | st.text(alphabet="\x00\x1f\x7f\"\\/\u00e9\u2028\U0001f600ab")
+_json_scalars = st.one_of(
+    _json_strings,
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=6) | st.dictionaries(_json_strings, children, max_size=6),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(_json_strings, _json_values, max_size=8))
+def test_render_report_matches_json_dumps_on_any_document(doc):
+    assert render_report(doc) == json_report(doc)
 
 
 def test_standard_form_to_dict():
