@@ -170,7 +170,9 @@ def _parse_plain(text: str) -> AnnualPlan | None:
     at its commas alone, then lines of at least two unsigned ASCII
     integers, all as wide as the first, each ending in a newline.
     Anything else, a cell int() cannot read included, is left to the
-    walk, which alone names a bad cell.
+    walk, which alone names a bad cell. The pattern admits only rows
+    that AnnualPlan accepts, so the plan is built without checking its
+    cells again.
     """
     head, _, body = text.partition("\n")
     cells = [cell.strip() for cell in head.split(",")]
@@ -191,7 +193,7 @@ def _parse_plain(text: str) -> AnnualPlan | None:
         rows = tuple(zip(*[values] * n))
     except ValueError:  # a cell longer than int() reads
         return None
-    return AnnualPlan(rows)
+    return AnnualPlan._trusted(rows)
 
 
 def _write_matrix(rows, n: int, path: str | Path) -> None:

@@ -57,6 +57,11 @@ def brute_force_transfers(
     result, is the lexicographically smallest. Per-month costs are
     non-negative, so a prefix that already reaches the incumbent cost is
     discarded; that cannot skip a strictly better or lex-smaller optimum.
+    At the last boundary every flow's total is listed and the first
+    smallest one is taken, which is the same rule. Each boundary's whole
+    flow range counts toward visited_states, and the budget is checked
+    once per range: the search passes max_states exactly when the
+    one-at-a-time count does.
     """
     L = loads.loads
     n = len(L)
@@ -68,7 +73,10 @@ def brute_force_transfers(
             f"transfer search accepts monthly loads up to {budget.max_month_load}, got {top_load}"
         )
     cost, scale = _scaled_month_cost(objective, n, sum(L))
+    # a month keeps at most its own load plus both neighbours'
+    C = [cost(v) for v in range(3 * top_load + 1)]
     B = n - 1
+    end = L[n - 1]
     max_states = budget.max_states
     best_cost = None
     best_x: tuple[int, ...] | None = None
@@ -80,21 +88,20 @@ def brute_force_transfers(
         nonlocal best_cost, best_x, state
         lo = -L[b + 1]
         hi = L[b] if L[b] < pool else pool
-        last = b == B - 1
+        state += hi - lo + 1
+        if state > max_states:
+            raise BudgetExceededError(f"transfer search passed {max_states} states")
+        if b == B - 1:
+            totals = [run + C[pool - x] + C[end + x] for x in range(lo, hi + 1)]
+            final = min(totals)
+            if best_cost is None or final < best_cost:
+                xs[b] = lo + totals.index(final)
+                best_cost = final
+                best_x = tuple(xs)
+            return
         for x in range(lo, hi + 1):
-            state += 1
-            if state > max_states:
-                raise BudgetExceededError(f"transfer search passed {max_states} states")
-            c = run + cost(pool - x)
-            if best_cost is not None and c >= best_cost:
-                continue
-            if last:
-                final = c + cost(L[n - 1] + x)
-                if best_cost is None or final < best_cost:
-                    xs[b] = x
-                    best_cost = final
-                    best_x = tuple(xs)
-            else:
+            c = run + C[pool - x]
+            if best_cost is None or c < best_cost:
                 xs[b] = x
                 walk(b + 1, L[b + 1] + x, c)
 

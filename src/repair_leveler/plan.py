@@ -19,6 +19,8 @@ only then.
 The value types here and in the other library modules derive from
 `_Frozen`: immutable slotted classes compared by value, whose
 constructors run every check, also when pickle or copy rebuilds them.
+Only `_Frozen._trusted` skips the checks, for values built from values
+that were checked already.
 """
 
 from __future__ import annotations
@@ -87,12 +89,26 @@ class _Frozen:
     Values of one class compare, hash and print by their field tuple.
     `__reduce__` hands pickle and copy that tuple, so a rebuilt value goes
     through `__init__` and its checks again.
+
+    `_trusted(*fields)` stores the fields as they are, without `__init__`.
+    Call it only with fields in their stored form (tuples, not lists)
+    that `__init__` would accept unchanged, because they were built from
+    checked values by steps that keep every rule: a plan's cells moved
+    within their row, a pool of its non-empty cells. A value that comes
+    from outside the package goes through `__init__`.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls.__match_args__ = cls.__slots__
+
+    @classmethod
+    def _trusted(cls, *fields):
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+        return self
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

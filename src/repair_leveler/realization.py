@@ -10,17 +10,21 @@ The plan's month columns are taken once. A boundary's donor pool is its
 donor month's column without the empty cells and the cells an earlier
 boundary claimed: a claimed cell reads 0 in the column from then on.
 A month donates only across the two boundaries at its sides, so only
-the earlier of those can have claimed cells in it.
+the earlier of those can have claimed cells in it. A second set of
+columns holds the adjusted plan: each claim moves its cell's hours to
+the same row of the month it is marked for. The plan was checked and
+every step keeps its rules, so the shift matrix, the adjusted plan and
+each boundary's SelectionProblem are built without checking them again.
 
 The subset-sum is an array DP over hours (Kellerer, Pferschy & Pisinger,
-Knapsack Problems, ch. 4): a big-int shift-or bitset finds the best
-reachable total, a suffix table of fewest-item counts per exact sum
-backs it, and a forward pass picks the earliest cells that still
-complete it. Each suffix row is one big int of fixed-width count fields,
-updated with a few whole-int operations per cell (bit-parallel
-arithmetic on packed fields: Lamport, "Multiple byte processing with
-full-word instructions", CACM 1975). Its cost is O(m * min(capacity,
-total hours)) bits for m donor cells.
+Knapsack Problems, ch. 4): a suffix table of fewest-item counts per
+exact sum, up to min(capacity, total hours), yields the best total as
+its highest reachable sum, and a forward pass picks the earliest cells
+that still complete it. Each suffix row is one big int of fixed-width
+count fields, updated with a few whole-int operations per cell
+(bit-parallel arithmetic on packed fields: Lamport, "Multiple byte
+processing with full-word instructions", CACM 1975). Its cost is
+O(m * min(capacity, total hours)) bits for m donor cells.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .plan import (
     TransferVector,
     _first_bad_int,
     _Frozen,
-    apply_shift_matrix,
     column_sums,
     validate_transfers,
 )
@@ -62,13 +65,13 @@ def subset_select(problem: SelectionProblem) -> tuple[int, ...]:
     """Indices of the best selection: maximal total at or under capacity,
     fewest items among ties, then the smallest index tuple.
 
-    Items larger than the capacity are dropped. A big-int bitset of
-    reachable sums, masked at min(capacity, sum of the fitting items),
-    gives the best total. A suffix table then holds, for each j and each
-    s up to that total, the fewest of the items j.. that sum to exactly
-    s. The pick walks the items forward and takes each one that still
-    completes the total with the fewest items, which yields the smallest
-    index tuple among the fewest-item selections.
+    Items larger than the capacity are dropped. A suffix table holds, for
+    each j and each s up to limit = min(capacity, sum of the fitting
+    items), the fewest of the items j.. that sum to exactly s. The best
+    total is the highest s that some subset of the items reaches. The
+    pick walks the items forward and takes each one that still completes
+    the total with the fewest items, which yields the smallest index
+    tuple among the fewest-item selections.
 
     Each table row is one int of packed fields: field s, w bits wide,
     holds the count for sum s, with m + 1 for an unreachable sum and
@@ -79,31 +82,31 @@ def subset_select(problem: SelectionProblem) -> tuple[int, ...]:
     operations per item, each linear in the row's bits, where a list
     table takes one Python-level step per sum.
 
-    Time and memory are O(m * min(capacity, sum)) bits for m fitting
-    items: dense in hours, which suits cells that hold a month's repair
-    hours, and the only path. A sparse pool pays for it: items
-    (10**6, 10**6 - 1, 3) at capacity 2 * 10**6 - 5 take 6-11 ms and
-    about 7 MB at peak (Python 3.11), where a dict keyed by reachable sum
-    needs under 0.1 ms, and a call on 1-2 small items costs about 3
-    microseconds more than that dict would.
+    Time and memory are O(m * limit) bits for m fitting items: dense in
+    hours, which suits cells that hold a month's repair hours, and the
+    only path. The table spans the limit, not the best total, but it is
+    never more than about twice as wide as the best total needs: a total
+    of at least half the limit is always reachable, and when the
+    capacity is met exactly, as for most boundaries of a leveled plan,
+    the two are the same. A sparse pool pays for it: items
+    (10**6, 10**6 - 1, 3) at capacity 2 * 10**6 - 5 reach at best
+    10**6 + 3, take 15-21 ms and about 12.7 MiB at peak (Python 3.11;
+    a table sized to the best total took 8-10 ms and 7 MiB), where a dict
+    keyed by reachable sum needs under 0.1 ms, and a call on 1-2 small
+    items costs about 3 microseconds more than that dict would.
     """
     cap = problem.capacity
     index = [i for i, a in enumerate(problem.items) if a <= cap]
     fit = [problem.items[i] for i in index]
     limit = min(cap, sum(fit))
-    mask = (1 << (limit + 1)) - 1
-    reach = 1
-    for a in fit:
-        reach = (reach | reach << a) & mask
-    best = reach.bit_length() - 1
     # Field s of rows[j], w bits wide, holds the fewest items of fit[j:]
-    # summing to exactly s, for s up to best; m + 1 marks an unreachable
+    # summing to exactly s, for s up to limit; m + 1 marks an unreachable
     # sum. Values stay below 2 ** (w - 1), so each field's top bit is a
     # guard that a field-wise subtraction never borrows past.
     m = len(fit)
     w = (m + 2).bit_length() + 1
     field = (1 << w) - 1
-    size = (best + 1) * w
+    size = (limit + 1) * w
     full = (1 << size) - 1
     ones = full // field
     guards = ones << (w - 1)
@@ -119,8 +122,10 @@ def subset_select(problem: SelectionProblem) -> tuple[int, ...]:
         diff = (row | guards) - cand
         keep = diff & guards
         row = rows[j] = row - (diff & (keep - (keep >> (w - 1))))
+    # the best total is the highest field that is not m + 1; field 0 is 0
+    best = ((row ^ unreachable).bit_length() - 1) // w
     chosen = []
-    total, count = best, row >> best * w
+    total, count = best, row >> best * w & field
     j = 0
     while count:
         a = fit[j]
@@ -171,9 +176,10 @@ def realize_transfers(plan: AnnualPlan, transfers: TransferVector) -> Realizatio
     validate_transfers(loads, transfers)
     k = plan.k
     # per month column: the hours still free to move (a claimed cell
-    # reads 0) and each cell's mark
+    # reads 0), each cell's mark, and the adjusted plan
     free = [list(col) for col in zip(*plan.entries)]
     marks = [[0] * k for _ in free]
+    adjusted = [list(col) for col in free]
     achieved = []
     residuals = []
     pools = []
@@ -185,22 +191,30 @@ def realize_transfers(plan: AnnualPlan, transfers: TransferVector) -> Realizatio
             continue
         month, cap, mark = (b, x, 1) if x > 0 else (b + 1, -x, -1)
         col, col_marks = free[month], marks[month]
+        source, target = adjusted[month], adjusted[month + mark]
         rows = list(compress(range(k), col))
-        pool = tuple(filter(None, col))
+        # a list first: tuple() of an iterator with no length hint
+        # allocates a guessed length and resizes it, so on CPython the
+        # short pools it frees fill free lists that it never takes from
+        pool = tuple([a for a in col if a])
         got = 0
-        for c in subset_select(SelectionProblem(pool, cap)):
+        # called by its module-global name, once per non-zero boundary,
+        # so a wrapper installed on realization.subset_select sees each call
+        for c in subset_select(SelectionProblem._trusted(pool, cap)):
             i = rows[c]
-            got += col[i]
+            hours = col[i]
+            got += hours
             col[i] = 0
             col_marks[i] = mark
+            source[i] -= hours
+            target[i] += hours
         achieved.append(got)
         residuals.append(cap - got)
         pools.append(pool)
-    shift = ShiftMatrix(tuple(zip(*marks)))
     return RealizationResult(
-        shift_matrix=shift,
+        shift_matrix=ShiftMatrix._trusted(tuple(zip(*marks))),
         achieved=tuple(achieved),
         residuals=tuple(residuals),
-        adjusted_plan=apply_shift_matrix(plan, shift),
+        adjusted_plan=AnnualPlan._trusted(tuple(zip(*adjusted))),
         pools=tuple(pools),
     )

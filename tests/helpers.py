@@ -13,17 +13,21 @@ from pathlib import Path
 
 from repair_leveler import (
     AnnualPlan,
+    BudgetExceededError,
     MonthlyLoads,
     Objective,
+    OracleBudget,
     PlanError,
     RealizationResult,
     SelectionProblem,
     ShiftMatrix,
+    SolveResult,
     TransferVector,
     column_sums,
     subset_select,
     validate_transfers,
 )
+from repair_leveler.solvers import _scaled_month_cost
 
 # The transfer oracle enumerates every boundary flow, so random sweeps
 # must shrink the load range as the month count grows.
@@ -272,9 +276,9 @@ def dict_subset_select(problem: SelectionProblem) -> tuple[int, ...]:
 
 
 def table_subset_select(problem: SelectionProblem) -> tuple[int, ...]:
-    """Reference for realization.subset_select: the same bitset and forward
-    pick over a suffix table held as one Python list per item,
-    O(m * min(capacity, sum)) list slots.
+    """Reference for realization.subset_select: reach_subset_select's
+    bitset and forward pick over a suffix table held as one Python list
+    per item, O(m * min(capacity, sum)) list slots.
 
     rows[j][s] is the fewest items of the fitting items j.. that sum to
     exactly s, for s up to the best total; len(fit) + 1 marks an
@@ -301,6 +305,55 @@ def table_subset_select(problem: SelectionProblem) -> tuple[int, ...]:
         a = fit[j]
         j += 1
         if a <= total and rows[j][total - a] == count - 1:
+            chosen.append(index[j - 1])
+            total -= a
+            count -= 1
+    return tuple(chosen)
+
+
+def reach_subset_select(problem: SelectionProblem) -> tuple[int, ...]:
+    """Reference for realization.subset_select: the packed suffix table
+    sized to the best total, which a big-int bitset of reachable sums,
+    masked at min(capacity, sum of the fitting items), finds first."""
+    cap = problem.capacity
+    index = [i for i, a in enumerate(problem.items) if a <= cap]
+    fit = [problem.items[i] for i in index]
+    limit = min(cap, sum(fit))
+    mask = (1 << (limit + 1)) - 1
+    reach = 1
+    for a in fit:
+        reach = (reach | reach << a) & mask
+    best = reach.bit_length() - 1
+    # Field s of rows[j], w bits wide, holds the fewest items of fit[j:]
+    # summing to exactly s, for s up to best; m + 1 marks an unreachable
+    # sum. Values stay below 2 ** (w - 1), so each field's top bit is a
+    # guard that a field-wise subtraction never borrows past.
+    m = len(fit)
+    w = (m + 2).bit_length() + 1
+    field = (1 << w) - 1
+    size = (best + 1) * w
+    full = (1 << size) - 1
+    ones = full // field
+    guards = ones << (w - 1)
+    unreachable = (m + 1) * ones
+    row = unreachable - (m + 1)  # no items: only the empty sum 0 is reachable
+    rows = [row] * (m + 1)
+    for j in range(m - 1, -1, -1):
+        shift = fit[j] * w
+        # one more item on top of every sum s - a, unreachable below a
+        cand = ((row << shift) & full | unreachable >> (size - shift)) + ones
+        # a guard survives where row >= cand; the field-wise minimum then
+        # takes off row - cand there
+        diff = (row | guards) - cand
+        keep = diff & guards
+        row = rows[j] = row - (diff & (keep - (keep >> (w - 1))))
+    chosen = []
+    total, count = best, row >> best * w
+    j = 0
+    while count:
+        a = fit[j]
+        j += 1
+        if a <= total and rows[j] >> (total - a) * w & field == count - 1:
             chosen.append(index[j - 1])
             total -= a
             count -= 1
@@ -358,3 +411,60 @@ def cell_apply_shift_matrix(plan: AnnualPlan, shifts: ShiftMatrix) -> AnnualPlan
                 raise PlanError(f"cell ({i + 1},{j + 1}) is empty but marked to move")
             adjusted[i][j + s] += hours
     return AnnualPlan(tuple(tuple(row) for row in adjusted))
+
+
+def pruned_brute_force_transfers(
+    loads: MonthlyLoads, objective: Objective, budget: OracleBudget = OracleBudget()
+) -> SolveResult:
+    """Reference for oracle.brute_force_transfers: the same search, which
+    counts and checks the budget one flow at a time and calls the cost
+    function for every month it scores.
+
+    Flows are scanned in ascending order and the incumbent is replaced
+    only on a strict improvement, so the first optimum found is the
+    lexicographically smallest. A prefix that already reaches the
+    incumbent cost is discarded.
+    """
+    L = loads.loads
+    n = len(L)
+    if n > budget.max_months:
+        raise BudgetExceededError(f"transfer search accepts up to {budget.max_months} months, got {n}")
+    top_load = max(L)
+    if top_load > budget.max_month_load:
+        raise BudgetExceededError(
+            f"transfer search accepts monthly loads up to {budget.max_month_load}, got {top_load}"
+        )
+    cost, scale = _scaled_month_cost(objective, n, sum(L))
+    B = n - 1
+    max_states = budget.max_states
+    best_cost = None
+    best_x: tuple[int, ...] | None = None
+    xs = [0] * B
+    state = 0
+
+    def walk(b: int, pool: int, run: int) -> None:
+        # pool: hours in month b after the inflow; run: cost of months < b
+        nonlocal best_cost, best_x, state
+        lo = -L[b + 1]
+        hi = L[b] if L[b] < pool else pool
+        last = b == B - 1
+        for x in range(lo, hi + 1):
+            state += 1
+            if state > max_states:
+                raise BudgetExceededError(f"transfer search passed {max_states} states")
+            c = run + cost(pool - x)
+            if best_cost is not None and c >= best_cost:
+                continue
+            if last:
+                final = c + cost(L[n - 1] + x)
+                if best_cost is None or final < best_cost:
+                    xs[b] = x
+                    best_cost = final
+                    best_x = tuple(xs)
+            else:
+                xs[b] = x
+                walk(b + 1, L[b + 1] + x, c)
+
+    walk(0, L[0], 0)
+    assert best_x is not None and best_cost is not None
+    return SolveResult(TransferVector(best_x), Fraction(best_cost, scale), "brute-force", True, state)

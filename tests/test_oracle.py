@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repair_leveler import (
     AnnualPlan,
@@ -19,7 +20,7 @@ from repair_leveler import (
     subset_select,
     validate_transfers,
 )
-from helpers import GOLDEN_LOADS, direct_deviation, random_loads
+from helpers import GOLDEN_LOADS, SWEEP_LOAD_CAP, direct_deviation, pruned_brute_force_transfers, random_loads
 
 
 def test_transfer_oracle_golden():
@@ -70,6 +71,27 @@ def test_transfer_oracle_state_cap():
     tiny = OracleBudget(max_states=10)
     with pytest.raises(BudgetExceededError):
         brute_force_transfers(MonthlyLoads((50, 50, 50, 50)), Objective.L1, tiny)
+
+
+def _search(search, loads, objective, budget):
+    try:
+        return search(loads, objective, budget)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(lambda n: st.lists(st.integers(0, SWEEP_LOAD_CAP[n]), min_size=n, max_size=n)),
+    st.sampled_from(Objective),
+    st.one_of(st.integers(1, 300), st.just(OracleBudget().max_states)),
+)
+def test_transfer_oracle_matches_pruned_reference(loads, objective, max_states):
+    # the whole SolveResult, visited_states included, or the same refusal
+    loads, budget = MonthlyLoads(tuple(loads)), OracleBudget(max_states=max_states)
+    assert _search(brute_force_transfers, loads, objective, budget) == _search(
+        pruned_brute_force_transfers, loads, objective, budget
+    )
 
 
 def test_transfer_oracle_custom_budget_widens_range():

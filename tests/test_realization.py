@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,12 +20,14 @@ from repair_leveler import (
     solve_greedy,
     subset_select,
 )
+from repair_leveler import realization
 from helpers import (
     GOLDEN_PLAN,
     cell_apply_shift_matrix,
     dict_subset_select,
     random_feasible_transfers,
     random_plan,
+    reach_subset_select,
     scan_realize_transfers,
     table_subset_select,
 )
@@ -74,13 +77,21 @@ def test_subset_matches_oracle():
 
 
 def test_subset_capacity_far_above_total():
-    # the reachable-sum bitset spans min(capacity, total), not the capacity
+    # the count table spans min(capacity, total), not the capacity
     assert subset_select(SelectionProblem((3, 2), 10**7)) == (0, 1)
 
 
 def test_subset_sparse_large_items():
     # the two big cells together overshoot; the best total pairs one with the 3
     assert subset_select(SelectionProblem((10**6, 10**6 - 1, 3), 2 * 10**6 - 5)) == (0, 2)
+
+
+@pytest.mark.parametrize("items, capacity, chosen", [((4, 3), 5, (0,)), ((7, 7, 7), 20, (0, 1))])
+def test_subset_best_total_short_of_capacity(items, capacity, chosen):
+    # the table spans min(capacity, sum) and the best total is its highest
+    # reachable sum, here below that span's top, as in the sparse case above
+    problem = SelectionProblem(items, capacity)
+    assert subset_select(problem) == reach_subset_select(problem) == chosen
 
 
 @st.composite
@@ -105,6 +116,12 @@ def test_subset_matches_dict_reference(problem):
 @given(selection_problems(max_items=300))
 def test_subset_matches_table_reference(problem):
     assert subset_select(problem) == table_subset_select(problem)
+
+
+@settings(max_examples=100, deadline=None)
+@given(selection_problems(max_items=120))
+def test_subset_matches_reach_reference(problem):
+    assert subset_select(problem) == reach_subset_select(problem)
 
 
 @settings(max_examples=200, deadline=None)
@@ -298,3 +315,55 @@ def test_apply_shift_matrix_matches_cell_reference(rng, k, n):
         for row in plan.entries
     ))
     assert _outcome(apply_shift_matrix, plan, shifts) == _outcome(cell_apply_shift_matrix, plan, shifts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(plans_and_vectors())
+def test_realize_outputs_equal_their_checked_rebuilds(case):
+    # realization builds these without their constructors' checks
+    real = realize_transfers(*case)
+    assert ShiftMatrix(real.shift_matrix.shifts) == real.shift_matrix
+    assert AnnualPlan(real.adjusted_plan.entries) == real.adjusted_plan
+    assert type(real.pools) is tuple
+    for pool in real.pools:
+        assert SelectionProblem(pool, 0).items == pool and type(pool) is tuple
+
+
+@pytest.mark.parametrize("plan, x", [
+    (GOLDEN_PLAN, (3, 0, -5)),
+    (GOLDEN_PLAN, (0, 0, 0)),
+    (random_plan(random.Random(3), 9, 6, 4), (2, -3, 0, 4, -1)),
+])
+def test_realize_calls_subset_select_per_boundary(monkeypatch, plan, x):
+    # the traced benchmark wraps realization.subset_select and counts its
+    # calls, donor items and capacities
+    calls = []
+
+    def spy(problem):
+        calls.append(problem)
+        return subset_select(problem)
+
+    monkeypatch.setattr(realization, "subset_select", spy)
+    real = realize_transfers(plan, TransferVector(x))
+    assert all(type(p) is SelectionProblem for p in calls)
+    assert [(p.items, p.capacity) for p in calls] == [(pool, abs(f)) for f, pool in zip(x, real.pools) if f]
+    assert all(SelectionProblem(p.items, p.capacity) == p for p in calls)
+
+
+def test_realize_memory_stays_flat():
+    # a pool built as tuple(filter(None, column)) left about 3 MB on
+    # CPython's tuple free lists over this loop; pools of 10-20 cells, none
+    # of which fits under a 1-hour flow, keep the subset DP cheap
+    rng = random.Random(1)
+    plan = AnnualPlan(tuple(tuple(rng.choice((0, rng.randint(2, 9))) for _ in range(52)) for _ in range(30)))
+    transfers = TransferVector((1, -1) * 25 + (1,))
+    realize_transfers(plan, transfers)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(1500):
+            realize_transfers(plan, transfers)
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 1 << 20
