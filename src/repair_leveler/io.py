@@ -8,7 +8,6 @@ rendering alongside for convenience.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import re
 from fractions import Fraction
@@ -156,12 +155,6 @@ def _csv_rows(text: str) -> list[list[str]]:
 _CSV_SPECIAL = '"\r\0'
 
 
-@functools.lru_cache(maxsize=8)
-def _body_pattern(n: int) -> re.Pattern:
-    """Lines of n unsigned ASCII integers, each line ending in a newline."""
-    return re.compile(r"(?:[0-9]+(?:,[0-9]+){%d}\n)+" % (n - 1))
-
-
 def _parse_plain(text: str) -> AnnualPlan | None:
     """The plan of a plain text in one pass, or None when the text needs
     _parse_rows' cell walk.
@@ -186,7 +179,8 @@ def _parse_plain(text: str) -> AnnualPlan | None:
     else:
         body = text
     n = head.count(",") + 1
-    if n < 2 or not _body_pattern(n).fullmatch(body):
+    # lines of n unsigned ASCII integers, each ending in a newline
+    if n < 2 or not re.fullmatch(r"(?:[0-9]+(?:,[0-9]+){%d}\n)+" % (n - 1), body):
         return None
     values = map(int, body[:-1].replace("\n", ",").split(","))
     try:

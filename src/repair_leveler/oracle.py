@@ -40,11 +40,7 @@ class OracleBudget(_Frozen):
         max_cells: int = 12,  # shift search, k*n
         max_items: int = 20,  # subset scan
     ):
-        object.__setattr__(self, "max_states", max_states)
-        object.__setattr__(self, "max_months", max_months)
-        object.__setattr__(self, "max_month_load", max_month_load)
-        object.__setattr__(self, "max_cells", max_cells)
-        object.__setattr__(self, "max_items", max_items)
+        super().__init__(max_states, max_months, max_month_load, max_cells, max_items)
 
 
 def brute_force_transfers(

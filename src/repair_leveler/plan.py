@@ -17,10 +17,10 @@ or shift matrix). A broken rule raises PlanError, whose message is built
 only then.
 
 The value types here and in the other library modules derive from
-`_Frozen`: immutable slotted classes compared by value, whose
-constructors run every check, also when pickle or copy rebuilds them.
-Only `_Frozen._trusted` skips the checks, for values built from values
-that were checked already.
+`_Frozen`, which alone stores their fields: immutable slotted classes
+compared by value, whose checks run also when pickle or copy rebuilds
+them. Only `_Frozen._trusted` skips the checks, for values built from
+values that were checked already.
 """
 
 from __future__ import annotations
@@ -43,23 +43,12 @@ __all__ = [
 ]
 
 
-_PLAIN_INT = frozenset((int,))
-
-
-def _first_bad_int(values: tuple, lo: int | None = None, hi: int | None = None) -> int | None:
+def _first_bad_int(values, lo: int | None = None, hi: int | None = None) -> int | None:
     """Position of the first value that is not an int in [lo, hi], or None.
 
     Int subclasses pass except bool: bool subclasses int, but True is no
-    count of hours. Whole-sequence builtins settle the usual case, every
-    value a plain int in range; only a sequence they refuse is walked
-    value by value to find the culprit.
+    count of hours.
     """
-    if not values or (
-        set(map(type, values)) <= _PLAIN_INT
-        and (lo is None or min(values) >= lo)
-        and (hi is None or max(values) <= hi)
-    ):
-        return None
     for p, v in enumerate(values):
         if not isinstance(v, int) or isinstance(v, bool) or (lo is not None and v < lo) or (hi is not None and v > hi):
             return p
@@ -84,18 +73,21 @@ def _matrix_rows(matrix, what: str, row_name: str) -> tuple[tuple, ...]:
 class _Frozen:
     """Base of the immutable value types.
 
-    A subclass lists its fields in `__slots__`, in order, and its
-    `__init__` checks them and stores each with object.__setattr__.
-    Values of one class compare, hash and print by their field tuple.
-    `__reduce__` hands pickle and copy that tuple, so a rebuilt value goes
-    through `__init__` and its checks again.
+    A subclass lists its fields in `__slots__`, in order. `__init__`
+    binds them by position or keyword and is the only place that stores
+    them: a plain record has no other constructor, and a checked type's
+    ends with `super().__init__(...)`. A missing, extra, unknown or
+    repeated field raises a TypeError that names the fields. Values of
+    one class compare, hash and print by their field tuple. `__reduce__`
+    hands pickle and copy that tuple, so a rebuilt value goes through its
+    class's checks again.
 
-    `_trusted(*fields)` stores the fields as they are, without `__init__`.
+    `_trusted(*fields)` stores the fields without the class's checks.
     Call it only with fields in their stored form (tuples, not lists)
-    that `__init__` would accept unchanged, because they were built from
+    that the checks would accept unchanged, because they were built from
     checked values by steps that keep every rule: a plan's cells moved
     within their row, a pool of its non-empty cells. A value that comes
-    from outside the package goes through `__init__`.
+    from outside the package goes through the checks.
     """
 
     __slots__ = ()
@@ -103,11 +95,19 @@ class _Frozen:
     def __init_subclass__(cls):
         cls.__match_args__ = cls.__slots__
 
+    def __init__(self, *fields, **named):
+        names = self.__slots__
+        if named:
+            fields += tuple([named.pop(name) for name in names[len(fields) :] if name in named])
+        if named or len(fields) != len(names):
+            raise TypeError(f"{self.__class__.__qualname__} takes the fields ({', '.join(names)})")
+        for name, value in zip(names, fields):
+            object.__setattr__(self, name, value)
+
     @classmethod
     def _trusted(cls, *fields):
         self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields, strict=True):
-            object.__setattr__(self, name, value)
+        _Frozen.__init__(self, *fields)
         return self
 
     def _values(self) -> tuple:
@@ -142,11 +142,11 @@ class AnnualPlan(_Frozen):
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]):
         rows = _matrix_rows(entries, "plan", "equipment row")
-        bad = _first_bad_int(tuple(chain.from_iterable(rows)), lo=0)
+        bad = _first_bad_int(chain.from_iterable(rows), lo=0)
         if bad is not None:
             i, j = divmod(bad, len(rows[0]))
             raise PlanError(f"cell ({i + 1},{j + 1}) must be a non-negative integer, got {rows[i][j]!r}")
-        object.__setattr__(self, "entries", rows)
+        super().__init__(rows)
 
     @property
     def k(self) -> int:
@@ -172,7 +172,7 @@ class MonthlyLoads(_Frozen):
         bad = _first_bad_int(loads, lo=0)
         if bad is not None:
             raise PlanError(f"month {bad + 1} load must be a non-negative integer, got {loads[bad]!r}")
-        object.__setattr__(self, "loads", loads)
+        super().__init__(loads)
 
     @property
     def n(self) -> int:
@@ -194,7 +194,7 @@ class TransferVector(_Frozen):
         bad = _first_bad_int(xs)
         if bad is not None:
             raise PlanError(f"boundary {bad + 1} transfer must be an integer, got {xs[bad]!r}")
-        object.__setattr__(self, "x", xs)
+        super().__init__(xs)
 
 
 class ShiftMatrix(_Frozen):
@@ -204,7 +204,7 @@ class ShiftMatrix(_Frozen):
 
     def __init__(self, shifts: tuple[tuple[int, ...], ...]):
         rows = _matrix_rows(shifts, "shift matrix", "row")
-        bad = _first_bad_int(tuple(chain.from_iterable(rows)), lo=-1, hi=1)
+        bad = _first_bad_int(chain.from_iterable(rows), lo=-1, hi=1)
         if bad is not None:
             i, j = divmod(bad, len(rows[0]))
             raise PlanError(f"cell ({i + 1},{j + 1}) must be -1, 0 or +1, got {rows[i][j]!r}")
@@ -213,7 +213,7 @@ class ShiftMatrix(_Frozen):
                 raise PlanError(f"row {i + 1} moves work backward out of the first month")
             if row[-1] == 1:
                 raise PlanError(f"row {i + 1} moves work forward out of the last month")
-        object.__setattr__(self, "shifts", rows)
+        super().__init__(rows)
 
     @property
     def k(self) -> int:

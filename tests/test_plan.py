@@ -1,3 +1,4 @@
+import enum
 import random
 import re
 from fractions import Fraction
@@ -20,7 +21,15 @@ from repair_leveler import (
     mean_load,
     validate_transfers,
 )
-from helpers import GOLDEN_LOADS, GOLDEN_PLAN, direct_deviation, random_feasible_transfers, random_loads
+from repair_leveler.plan import _first_bad_int
+from helpers import (
+    GOLDEN_LOADS,
+    GOLDEN_PLAN,
+    direct_deviation,
+    random_feasible_transfers,
+    random_loads,
+    sequence_first_bad_int,
+)
 
 L1, QD = Objective.L1, Objective.QUADRATIC
 
@@ -89,6 +98,37 @@ def test_value_types_take_int_subclasses_and_name_the_first_bad_value():
         SelectionProblem((3, False, 0), 5)
     with pytest.raises(PlanError, match=r"^capacity must be a non-negative integer, got True$"):
         SelectionProblem((3,), True)
+
+
+class _Grade(enum.IntEnum):
+    LOW = -1
+    NONE = 0
+    HIGH = 3
+
+
+# ints, bools, IntEnum members, floats and Fractions, many of them equal to an int
+_SCALARS = st.one_of(
+    st.integers(-4, 4),
+    st.integers(),
+    st.booleans(),
+    st.sampled_from(_Grade),
+    st.floats(),
+    st.integers(-4, 4).map(float),
+    st.fractions(),
+    st.integers(-4, 4).map(Fraction),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(_SCALARS, max_size=8).map(tuple),
+    lo=st.none() | st.integers(-5, 5),
+    hi=st.none() | st.integers(-5, 5),
+)
+def test_first_bad_int_walk_matches_the_sequence_form(values, lo, hi):
+    want = sequence_first_bad_int(values, lo, hi)
+    assert _first_bad_int(values, lo, hi) == want
+    assert _first_bad_int(iter(values), lo, hi) == want  # the walk takes any iterable
 
 
 def test_monthly_loads_validation():

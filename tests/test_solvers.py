@@ -23,12 +23,13 @@ from repair_leveler import (
     validate_transfers,
 )
 from repair_leveler.cli import _solve, build_parser
+from repair_leveler import solvers
 from repair_leveler.solvers import _chain_dp, _scaled_month_cost
 from helpers import (
     GOLDEN_LOADS,
     SWEEP_LOAD_CAP,
     direct_deviation,
-    load_perfbench_workloads,
+    load_perfbench,
     pointer_chain_dp,
     quadratic_chain_dp,
     random_feasible_transfers,
@@ -93,6 +94,20 @@ def test_exact_two_months():
 def test_exact_rejects_single_month():
     with pytest.raises(PlanError):
         solve_exact(MonthlyLoads((9,)))
+
+
+@pytest.mark.parametrize("solve", [solve_exact, solve_bisection])
+@pytest.mark.parametrize("hours", [(0, 5), (3, 1, 0, 2), (2, 0, 2, 9, 2, 2, 0, 2)])
+def test_solvers_refuse_past_the_chain_state_limit(solve, hours, monkeypatch):
+    # month 0 has one inflow state, each later month L[b] + L[b+1] + 1
+    states = 1 + sum(hours[b] + hours[b + 1] + 1 for b in range(len(hours) - 1))
+    loads = MonthlyLoads(hours)
+    want = solve(loads)
+    monkeypatch.setattr(solvers, "_MAX_CHAIN_STATES", states)
+    assert solve(loads) == want
+    monkeypatch.setattr(solvers, "_MAX_CHAIN_STATES", states - 1)
+    with pytest.raises(PlanError, match=f"the chain DP needs {states} states, past its limit of {states - 1}$"):
+        solve(loads)
 
 
 def test_exact_matches_oracle_quick():
@@ -551,7 +566,7 @@ def test_chain_dp_matches_pointer_reference_at_scale(loads, objective):
     assert _chain_dp(loads, cost) == pointer_chain_dp(loads, cost)
 
 
-workloads = load_perfbench_workloads()
+workloads = load_perfbench("workloads")
 
 # solvers.visited_states summed over each benchmark workload's seed-1
 # plans, each solved with the method and objective its flags name;

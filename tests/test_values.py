@@ -7,7 +7,9 @@ so a change in how the classes are built cannot change them unnoticed.
 """
 
 import copy
+import inspect
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -139,6 +141,65 @@ def test_keyword_construction(value):
 @pytest.mark.parametrize("value", VALUES, ids=IDS)
 def test_positional_patterns_follow_the_fields(value):
     assert type(value).__match_args__ == FIELDS[type(value)]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=IDS)
+def test_trusted_equals_the_checked_value(value):
+    twin = type(value)._trusted(*_fields(value))
+    assert type(twin) is type(value)
+    assert twin == value
+    assert repr(twin) == repr(value)
+    assert hash(twin) == hash(value)
+
+
+@pytest.mark.parametrize("value", VALUES, ids=IDS)
+def test_trusted_needs_every_field(value):
+    fields = _fields(value)
+    names = re.escape(", ".join(FIELDS[type(value)]))
+    with pytest.raises(TypeError, match=names):
+        type(value)._trusted(*fields[:-1])
+    with pytest.raises(TypeError, match=names):
+        type(value)._trusted(*fields, None)
+
+
+RECORDS = (SolveResult, ShiftedVariableForm, StandardFormQP, RealizationResult)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=[record.__name__ for record in RECORDS])
+def test_record_signature_is_the_field_store(record):
+    assert str(inspect.signature(record)) == "(*fields, **named)"
+
+
+_RESULT_FIELDS = _fields(SMALL_RESULT)
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (_RESULT_FIELDS[:-1], {}),  # missing
+        (_RESULT_FIELDS[:2], {"optimal": True, "visited_states": 27}),  # missing in the middle
+        (_RESULT_FIELDS + (0,), {}),  # extra
+        (_RESULT_FIELDS, {"solver": "exact"}),  # unknown
+        (_RESULT_FIELDS[:-1], {"visited_states": 27, "states": 27}),  # unknown beside the last field
+        (_RESULT_FIELDS, {"method": "exact"}),  # repeated
+        ((), {}),
+    ],
+    ids=["missing", "missing-middle", "extra", "unknown", "unknown-and-last", "repeated", "none"],
+)
+def test_bad_record_calls_name_the_fields(args, named):
+    text = "SolveResult takes the fields (transfers, objective_value, method, optimal, visited_states)"
+    with pytest.raises(TypeError, match=re.escape(text)):
+        SolveResult(*args, **named)
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [((), {}), (((1, 2), (3, 4)), {}), ((), {"load": (1, 2)}), (((1, 2),), {"loads": (1, 2)})],
+    ids=["missing", "extra", "unknown", "repeated"],
+)
+def test_bad_checked_calls_raise_type_error(args, named):
+    with pytest.raises(TypeError):
+        MonthlyLoads(*args, **named)
 
 
 def test_defaults():
