@@ -24,7 +24,8 @@ that still complete it. Each suffix row is one big int of fixed-width
 count fields, updated with a few whole-int operations per cell
 (bit-parallel arithmetic on packed fields: Lamport, "Multiple byte
 processing with full-word instructions", CACM 1975). Its cost is
-O(m * min(capacity, total hours)) bits for m donor cells.
+O(m * min(capacity, total hours)) bits for m donor cells, and a table
+past a fixed number of bits is refused rather than built.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ from .plan import (
 )
 
 __all__ = ["SelectionProblem", "RealizationResult", "subset_select", "realize_transfers"]
+
+
+# The most bits subset_select's table may hold, (m + 1) * (limit + 1) * w
+# for m fitting items: 2**28 bits, 32 MiB. The largest table of any
+# benchmark plan is about 0.05 MiB; one boundary of a 300x2 plan of
+# 4000-hour cells asks for 1.8e9 bits (226 MB).
+_MAX_SUBSET_BITS = 1 << 28
 
 
 class SelectionProblem(_Frozen):
@@ -92,7 +100,9 @@ def subset_select(problem: SelectionProblem) -> tuple[int, ...]:
     10**6 + 3, take 15-21 ms and about 12.7 MiB at peak (Python 3.11;
     a table sized to the best total took 8-10 ms and 7 MiB), where a dict
     keyed by reachable sum needs under 0.1 ms, and a call on 1-2 small
-    items costs about 3 microseconds more than that dict would.
+    items costs about 3 microseconds more than that dict would. A table
+    of more than _MAX_SUBSET_BITS bits raises PlanError before anything
+    is built.
     """
     cap = problem.capacity
     index = [i for i, a in enumerate(problem.items) if a <= cap]
@@ -104,6 +114,9 @@ def subset_select(problem: SelectionProblem) -> tuple[int, ...]:
     # guard that a field-wise subtraction never borrows past.
     m = len(fit)
     w = (m + 2).bit_length() + 1
+    bits = (m + 1) * (limit + 1) * w
+    if bits > _MAX_SUBSET_BITS:
+        raise PlanError(f"the subset table needs {bits} bits, past its limit of {_MAX_SUBSET_BITS}")
     field = (1 << w) - 1
     size = (limit + 1) * w
     full = (1 << size) - 1

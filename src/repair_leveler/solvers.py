@@ -14,8 +14,10 @@ to exact fractions at the end.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import ceil, floor
+from operator import sub
 
 from .errors import PlanError
 from .plan import MonthlyLoads, TransferVector, _Frozen, apply_transfers, mean_load, validate_transfers
@@ -99,8 +101,10 @@ def _scaled_month_cost(objective: Objective, n: int, total: int):
 
 
 # The most inflow states the chain DP may hold: ten times the 2.2e5 of
-# a 500x12 plan at about 10k h/month. At the limit a solve takes about
-# 1.5 s and 215 MB of peak RSS (2-core VM, Python 3.11).
+# a 500x12 plan at about 10k h/month. Near it, a 12x12 plan of about
+# 112k h/month (2,465,170 states, each month's load split evenly over
+# its 12 rows) runs through the CLI in about 0.36 s at 101 MB peak RSS
+# under L1, and 0.36 s at 108 MB under quadratic (2-core VM, Python 3.11).
 _MAX_CHAIN_STATES = 2_500_000
 
 
@@ -119,37 +123,45 @@ def _chain_dp(L, cost, fixed=None):
     The state of month j is its inflow x_{j-1}, the flow at boundary j-1,
     in [-L[j], L[j-1]]; month 0's only inflow is 0. Month j costs
     cost(L[j] + x_{j-1} - x_j), so a backward sweep of suffix minima is
-    exact. The sweep records each state's smallest best outflow, and the
-    flows follow those records from inflow 0: the smallest flow at every
-    stage, which yields the lexicographically smallest optimal vector.
-    `fixed` pins chosen boundaries (0-based) to a single value. Each stage
-    first raises its inflow bound until every inflow can pay the next
-    month's smallest one, so no table holds a state without an outflow;
-    a bound raised past its top means no vector affords the pins.
+    exact. Every state takes its smallest best outflow, and the flows
+    follow those from inflow 0: the smallest flow at every stage, which
+    yields the lexicographically smallest optimal vector. `fixed` pins
+    chosen boundaries (0-based) to a single value. Each stage first
+    raises its inflow bound until every inflow can pay the next month's
+    smallest one, so no state is without an outflow; a bound raised past
+    its top means no vector affords the pins.
 
-    The sweep is linear in month hours. cost is convex (and +inf below a
-    zero load), so every suffix table is convex, stage j's value
-    cost(L[j] + x - y) + suffix[j+1][y] has decreasing differences in
-    (x, y), and its smallest argmin y never decreases as x grows
-    (Topkis). One pointer per stage therefore walks the next table once:
-    for each x it resumes at the previous argmin and steps only while
-    that strictly lowers the value, so it stops at the smallest argmin,
-    the flow the sweep records. A stage compares O(|dom_j| + |dom_j+1|)
-    transitions instead of O(|dom_j| * |dom_j+1|). The pointer never
-    passes an inflow's largest affordable outflow, because both only
-    move forward and the raised bound makes the first one affordable.
+    cost runs once per month load u in [0, peak], where peak is the
+    largest L[j-1] + L[j] + L[j+1] (0 past either end), into a table C.
+    cost is convex, so its differences dC are nondecreasing. A stage is a
+    min-plus convolution: with k = L[j] + x - lo1 month j's hours above
+    its smallest outflow lo1, and V the next month's suffix values over
+    y - lo1 = i in [0, span], month j's value at x is the least
+    C[k - i] + V[i] over i in [0, min(k, span)]. V is convex too, so this
+    is C[0] + V[0] plus the k smallest of the two difference sequences
+    together (Bussieck, Hassler, Woeginger & Zimmermann, Oper. Res. Lett.
+    1994): their sorted merge is the stage's own difference sequence, so
+    the suffix values stay convex. list.sort merges the two runs in C,
+    and being stable it puts a cost step before an equal value step,
+    which takes the smallest outflow. The sweep carries only the value at
+    the lowest inflow and the differences; each stage keeps its merge for
+    the forward pass. Time and memory are linear in month hours.
 
-    cost runs once per month load, into a table C read by the sweep. The
-    load u = L[j] + x - y of month j lies in [0, peak], where peak is the
-    largest L[j-1] + L[j] + L[j+1] (0 past either end). u >= 0 because
-    the outflow y never passes the pool L[j] + x, so no index wraps
-    around. u <= peak because x <= L[j-1] and y >= -L[j+1], and pins and
-    raised bounds only narrow those ranges. The last month's table is the
-    slice of C at loads L[n-1] + x.
+    The smallest best outflow at k needs no scan: with theta the merge's
+    k-th step, it takes every value step below theta and then as many
+    equal to theta as the cost steps up to theta leave room for. The
+    forward pass reads it once per boundary.
 
-    Returns (best scaled cost, flows tuple, transitions the backward sweep
-    compares: one per state of the last month, and for each earlier state
-    its first pick plus every pointer step it tries).
+    The work count is that of a pointer sweep (tests/helpers.py's
+    pointer_chain_dp), derived in closed form: by Topkis the smallest
+    best outflow never decreases as x grows, so one pointer per stage
+    resumes at the previous state's outflow and steps while that strictly
+    lowers the value. Each state compares its first pick and one refused
+    step unless its outflow is at its top min(k, span), and the pointer's
+    steps add up to the last state's outflow. Each state of the last
+    month counts one transition.
+
+    Returns (best scaled cost, flows tuple, that work count).
     """
     n = len(L)
     doms = [(0, 0)]  # inflow domain per month
@@ -162,16 +174,19 @@ def _chain_dp(L, cost, fixed=None):
     padded = (0, *L, 0)
     peak = max(map(sum, zip(padded, padded[1:], padded[2:])))
     C = list(map(cost, range(peak + 1)))  # C[u]: the cost of a month load u
+    dC = list(map(sub, C[1:], C))  # nondecreasing: cost is convex
 
-    # nxt[y - lo1] = least cost of months j+1..n-1 given inflow y into month j+1
+    # months j+1..n-1 cost value at inflow lo1 into month j+1, and dV[i]
+    # more from inflow lo1 + i to lo1 + i + 1
     lo, hi = doms[n - 1]
-    last = L[n - 1]
-    nxt = C[last + lo : last + hi + 1]
+    u = L[n - 1] + lo  # the last month's load at its lowest inflow
+    value = C[u]
+    dV = dC[u : u + hi - lo]
     visited = hi - lo + 1
-    # argmins[j][x - lo] = smallest best outflow of month j given inflow x, less lo1
-    argmins: list[list[int]] = [[] for _ in range(n - 1)]
+    stages = [None] * (n - 1)  # per boundary: what the forward pass reads
+    c0 = dC[0] if dC else 0  # the smallest cost step
     for j in range(n - 2, -1, -1):
-        lo1, hi1 = doms[j + 1]
+        lo1 = doms[j + 1][0]
         month = L[j]
         # an inflow below lo1 - month leaves month j too few hours to pay lo1
         lo, hi = doms[j]
@@ -180,37 +195,46 @@ def _chain_dp(L, cost, fixed=None):
         if lo > hi:
             raise PlanError("no feasible transfer vector")  # pins that no vector affords together
         doms[j] = (lo, hi)
-        span = hi1 - lo1
-        vals = []
-        picks = argmins[j]
-        i = 0  # argmin index y - lo1; only moves forward
-        at_top = 0  # states whose pointer stopped at its top, with no step refused
-        # rest = L[j] + x - lo1: month j's hours above its smallest outflow
-        for rest in range(month + lo - lo1, month + hi - lo1 + 1):
-            top = rest if rest < span else span  # as an index; outflow past the pool goes negative
-            u = rest - i  # month j's load at outflow i + lo1
-            best = C[u] + nxt[i]
-            while i < top:
-                c = C[u - 1] + nxt[i + 1]
-                if c >= best:
-                    break
-                best = c
-                i += 1
-                u -= 1
-            else:
-                at_top += 1
-            vals.append(best)
-            picks.append(i)
-        # each state's first pick, the i steps taken, one refused step per state not at its top
-        visited += 2 * len(vals) + i - at_top
-        nxt = vals
+        kmin = month + lo - lo1
+        kmax = month + hi - lo1  # <= peak, so dC[:kmax] holds kmax steps
+        span = len(dV)
+        merged = dC[:kmax] + dV
+        merged.sort()  # two sorted runs: one stable merge, cost steps first on ties
+        value += C[0] + sum(merged[:kmin])
+        stages[j] = merged, dV, kmax, lo1
+        # the pointer sweep's work; a state whose outflow i(k) is at its top
+        # min(k, span) takes no refused step
+        states = kmax - kmin + 1
+        if span and kmax:
+            theta = merged[kmax - 1]
+            last = max(bisect_left(dV, theta), kmax - bisect_right(dC, theta, 0, kmax))  # i(kmax)
+            at_top = 0
+            if kmin <= span:  # i(k) = k up to the value steps below the first cost step
+                a = bisect_left(dV, c0)
+                if a >= kmin:
+                    at_top = min(a, kmax) - kmin + 1
+            if last == span < kmax:  # i(k) = span past the last value step's place in the merge
+                past = span + (bisect_right(dC, dV[-1], 0, kmax) or 1)
+                at_top += kmax - max(past, kmin) + 1
+            visited += 2 * states + last - at_top
+        else:
+            visited += states  # every outflow is at its top, 0
+        dV = merged[kmin:kmax]
 
     xs: list[int] = []
     x = 0
     for j in range(n - 1):
-        x = argmins[j][x - doms[j][0]] + doms[j + 1][0]
+        merged, dV, kmax, lo1 = stages[j]
+        k = L[j] + x - lo1
+        if k:
+            # every value step below the merge's k-th step theta, and the
+            # steps equal to it that the cost steps up to theta leave over
+            theta = merged[k - 1]
+            x = lo1 + max(bisect_left(dV, theta), k - bisect_right(dC, theta, 0, kmax))
+        else:
+            x = lo1
         xs.append(x)
-    return nxt[0], tuple(xs), visited
+    return value, tuple(xs), visited
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +248,10 @@ def solve_exact(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> S
     Covers the whole feasible box through the chain DP; among optima the
     returned vector is the lexicographically smallest. Runs in O(n*L)
     for n months of up to L hours: both per-month costs are convex, so
-    each month's best outflow never decreases as its inflow grows and one
-    forward-only pointer per boundary finds it. visited_states counts the
-    transitions the DP's backward sweep compares, at most three per
-    inflow state. Loads that need more than _MAX_CHAIN_STATES inflow
+    each stage is one sorted merge of two difference sequences.
+    visited_states is the work count of the equivalent pointer sweep,
+    derived in closed form: the transitions it compares, at most three
+    per inflow state. Loads that need more than _MAX_CHAIN_STATES inflow
     states raise PlanError.
     """
     L = loads.loads

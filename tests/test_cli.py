@@ -293,13 +293,8 @@ def test_exit_budget_exceeded(tmp_path: Path):
     assert cp.returncode == 3
 
 
-@pytest.mark.parametrize(
-    "method, plan",
-    [("exact", "month_1,month_2\n100000000000000000000,0\n"), ("bisection", "0,100000000000000000000,0,7\n")],
-    ids=["exact", "bisection"],
-)
-def test_exit_on_chain_dp_past_its_state_limit(method: str, plan: str, tmp_path: Path):
-    # the child runs under a 256 MiB address-space limit, so a solver that
+def _run_cli_in_256_mib(tmp_path: Path, plan: str, method: str) -> subprocess.CompletedProcess:
+    # the child runs under a 256 MiB address-space limit, so a stage that
     # builds its tables first fails with MemoryError in the child instead
     # of growing until the host runs out
     resource = pytest.importorskip("resource")
@@ -311,9 +306,29 @@ def test_exit_on_chain_dp_past_its_state_limit(method: str, plan: str, tmp_path:
         f"sys.argv = ['repair-leveler', '--input', {str(path)!r}, '--output-dir', {str(tmp_path / 'o')!r}, "
         f"'--method', {method!r}]; runpy.run_module('repair_leveler', run_name='__main__')"
     )
-    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize(
+    "method, plan",
+    [("exact", "month_1,month_2\n100000000000000000000,0\n"), ("bisection", "0,100000000000000000000,0,7\n")],
+    ids=["exact", "bisection"],
+)
+def test_exit_on_chain_dp_past_its_state_limit(method: str, plan: str, tmp_path: Path):
+    cp = _run_cli_in_256_mib(tmp_path, plan, method)
     assert cp.returncode == 2, cp.stderr
     assert "past its limit of 2500000" in cp.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("method", ["greedy", "exact"])
+def test_exit_on_subset_table_past_its_bit_limit(method: str, tmp_path: Path):
+    # 300 cells of 4000 h in month 1: both solvers ask boundary 1 for
+    # 600 000 h, a subset table of 301 * 600 001 * 10 bits (about 226 MB),
+    # within the chain DP's state limit
+    cp = _run_cli_in_256_mib(tmp_path, "4000,0\n" * 300, method)
+    assert cp.returncode == 2, cp.stderr
+    assert "the subset table needs 1806003010 bits, past its limit of 268435456" in cp.stderr
     assert not (tmp_path / "o").exists()
 
 

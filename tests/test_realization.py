@@ -86,6 +86,26 @@ def test_subset_sparse_large_items():
     assert subset_select(SelectionProblem((10**6, 10**6 - 1, 3), 2 * 10**6 - 5)) == (0, 2)
 
 
+@pytest.mark.parametrize(
+    "items, capacity, bits",
+    [
+        ((), 5, 1 * 1 * 3),  # no items: one row of one 3-bit field, the empty sum
+        ((9, 4, 3), 5, 3 * 6 * 4),  # the 9 does not fit: two items, limit 5
+        ((4, 3), 100, 3 * 8 * 4),  # limit is the items' total, 7
+        ((1,) * 6, 6, 7 * 7 * 5),  # m + 2 = 8 widens the field to 5 bits
+    ],
+)
+def test_subset_refuses_a_table_past_its_bit_limit(items, capacity, bits, monkeypatch):
+    # the table holds (m + 1) * (limit + 1) fields of w bits
+    problem = SelectionProblem(items, capacity)
+    want = subset_select(problem)
+    monkeypatch.setattr(realization, "_MAX_SUBSET_BITS", bits)
+    assert subset_select(problem) == want
+    monkeypatch.setattr(realization, "_MAX_SUBSET_BITS", bits - 1)
+    with pytest.raises(PlanError, match=f"the subset table needs {bits} bits, past its limit of {bits - 1}$"):
+        subset_select(problem)
+
+
 @pytest.mark.parametrize("items, capacity, chosen", [((4, 3), 5, (0,)), ((7, 7, 7), 20, (0, 1))])
 def test_subset_best_total_short_of_capacity(items, capacity, chosen):
     # the table spans min(capacity, sum) and the best total is its highest

@@ -507,14 +507,15 @@ def test_pinned_solver_outputs(solve, objective, loads, transfers, value, scan_w
     assert result.visited_states <= scan_work
 
 
-# Loads near 4 000 and near 20 000 h per month: at these sizes a scan of
+# Loads near 4 000, 10 000 and 20 000 h per month: at these sizes a scan of
 # every affordable outflow per state would take minutes.
 _H4K = (4012, 3987, 4133, 3870, 4205, 3954, 4061, 3899, 4178, 3926, 4040, 3993)
+_H10K = (10053, 9944, 10312, 9687, 10125, 9871, 10402, 9760, 10098, 9915, 10227, 9839)
 _H20K = (20110, 19875, 20342, 19601, 20087, 19930, 20456, 19722, 20015, 19808, 20231, 19964)
 
 
 @pytest.mark.parametrize("objective", [L1, QD])
-@pytest.mark.parametrize("loads", [_H4K, _H20K])
+@pytest.mark.parametrize("loads", [_H4K, _H10K, _H20K])
 def test_exact_work_is_linear_in_month_hours(loads, objective):
     # each inflow state compares at most 2 transitions plus its pointer
     # advances, and the pointer crosses the next table once, so the sweep
@@ -560,10 +561,39 @@ def test_chain_dp_matches_pointer_reference(case):
 
 
 @pytest.mark.parametrize("objective", [L1, QD])
-@pytest.mark.parametrize("loads", [_H4K, _H20K])
+@pytest.mark.parametrize("loads", [_H4K, _H10K, _H20K])
 def test_chain_dp_matches_pointer_reference_at_scale(loads, objective):
     cost, _ = _scaled_month_cost(objective, len(loads), sum(loads))
     assert _chain_dp(loads, cost) == pointer_chain_dp(loads, cost)
+
+
+# A stage merges the cost steps up to its largest month-j load k with the
+# next month's value steps, span of them; its work count is closed-form.
+@pytest.mark.parametrize("objective", [L1, QD])
+@pytest.mark.parametrize(
+    "L, fixed",
+    [
+        ((0, 0), None),  # all-zero loads: no cost steps at all
+        ((0, 0, 0, 0), None),
+        ((5, 3, 7, 2), {1: 2}),  # the pinned boundary 1 leaves stage 1 one outflow: span 0
+        ((4, 1, 6), {1: 1}),  # month 1 must take in the hour it pins forward: a raised bound
+        ((0, 0, 0, 5, 3), None),  # months 0-2 empty: stages 0 and 1 have k = 0 only
+        ((0, 2, 1, 4), {0: -2, 2: 1}),  # stage 1 has k = 0 only, into a raised domain of 3
+        ((3, 0), None),  # an optimum where a cost step ties a value step
+    ],
+)
+def test_chain_dp_work_count_edges(L, fixed, objective):
+    cost, _ = _scaled_month_cost(objective, len(L), sum(L))
+    assert _chain_dp(L, cost, fixed) == pointer_chain_dp(L, cost, fixed)
+
+
+@pytest.mark.parametrize("objective", [L1, QD])
+def test_chain_dp_tie_takes_the_smaller_flow(objective):
+    # loads (2, 1) and (1, 2) cost the same; the merge puts the cost step
+    # before the equal value step, which keeps the flow at 1, not 2
+    cost, _ = _scaled_month_cost(objective, 2, 3)
+    assert [cost(2) + cost(1), cost(1) + cost(2)] == [_chain_dp((3, 0), cost)[0]] * 2
+    assert _chain_dp((3, 0), cost)[1] == (1,)
 
 
 workloads = load_perfbench("workloads")
