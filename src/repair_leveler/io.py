@@ -34,7 +34,14 @@ __all__ = [
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
+# a cell holding any other character is no number to int(): Unicode
+# decimal digits, whitespace, "_" and signs are all that int() reads
+_INT_CHARS = re.compile(r"[\d\s_+-]*")
+
+
 def _int_like(cell: str) -> bool:
+    if not _INT_CHARS.fullmatch(cell):
+        return False
     try:
         int(cell)
     except ValueError:
@@ -191,10 +198,13 @@ def _parse_plain(text: str) -> AnnualPlan | None:
 
 
 def _write_matrix(rows, n: int, path: str | Path) -> None:
+    """The month header and one line per row, each cell its integer value
+    by %d: for plain ints the bytes csv.writer writes, and an int
+    subclass, an IntEnum say, writes its number rather than its str()."""
+    line = ",".join(["%d"] * n) + "\n"
+    text = ",".join([f"month_{j + 1}" for j in range(n)]) + "\n" + "".join([line % row for row in rows])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"month_{j + 1}" for j in range(n)])
-        writer.writerows(rows)
+        fh.write(text)
 
 
 def write_plan(plan: AnnualPlan, path: str | Path) -> None:

@@ -231,7 +231,8 @@ class ShiftMatrix(_Frozen):
 
 def column_sums(plan: AnnualPlan) -> MonthlyLoads:
     """Total hours per month of the plan."""
-    return MonthlyLoads(tuple(map(sum, zip(*plan.entries))))
+    # a checked plan's column sums are non-negative ints over at least two months
+    return MonthlyLoads._trusted(tuple(map(sum, zip(*plan.entries))))
 
 
 def mean_load(loads: MonthlyLoads) -> Fraction:

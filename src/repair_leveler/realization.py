@@ -21,7 +21,7 @@ Knapsack Problems, ch. 4): a suffix table of fewest-item counts per
 exact sum, up to min(capacity, total hours), yields the best total as
 its highest reachable sum, and a forward pass picks the earliest cells
 that still complete it. Each suffix row is one big int of fixed-width
-count fields, updated with a few whole-int operations per cell
+count fields, updated with ten whole-int operations per cell
 (bit-parallel arithmetic on packed fields: Lamport, "Multiple byte
 processing with full-word instructions", CACM 1975). Its cost is
 O(m * min(capacity, total hours)) bits for m donor cells, and a table
@@ -35,11 +35,11 @@ from itertools import compress
 from .errors import PlanError
 from .plan import (
     AnnualPlan,
+    MonthlyLoads,
     ShiftMatrix,
     TransferVector,
     _first_bad_int,
     _Frozen,
-    column_sums,
     validate_transfers,
 )
 
@@ -81,11 +81,13 @@ def subset_select(problem: SelectionProblem) -> tuple[int, ...]:
     tuple among the fewest-item selections.
 
     Each table row is one int of packed fields: field s, w bits wide,
-    holds the count for sum s, with m + 1 for an unreachable sum and
+    holds m + 1 - count for sum s and 0 for an unreachable sum, with
     w = (m + 2).bit_length() + 1, so the top bit of every field is a
-    guard. Adding an item shifts the row up by its hours in fields, adds
-    1 to every field, and takes the field-wise minimum with the old row
-    by one subtraction with the guards set: about a dozen big-int
+    guard. Adding an item shifts the row up by its hours in fields, cand,
+    whose low fields shift in as 0, unreachable. One more item is one
+    less in a field, so the new row is the field-wise max(row + 1, cand)
+    - 1, which takes no field below 0, and one subtraction with the
+    guards set finds the fields where row + 1 wins: ten big-int
     operations per item, each linear in the row's bits, where a list
     table takes one Python-level step per sum.
 
@@ -108,44 +110,45 @@ def subset_select(problem: SelectionProblem) -> tuple[int, ...]:
     index = [i for i, a in enumerate(problem.items) if a <= cap]
     fit = [problem.items[i] for i in index]
     limit = min(cap, sum(fit))
-    # Field s of rows[j], w bits wide, holds the fewest items of fit[j:]
-    # summing to exactly s, for s up to limit; m + 1 marks an unreachable
-    # sum. Values stay below 2 ** (w - 1), so each field's top bit is a
-    # guard that a field-wise subtraction never borrows past.
+    # Field s of rows[j], w bits wide, holds m + 1 minus the fewest items
+    # of fit[j:] summing to exactly s, for s up to limit; 0 marks an
+    # unreachable sum. Fields stay at most m + 2 < 2 ** (w - 1), so each
+    # field's top bit is a guard that a field-wise subtraction never
+    # borrows past.
     m = len(fit)
     w = (m + 2).bit_length() + 1
     bits = (m + 1) * (limit + 1) * w
     if bits > _MAX_SUBSET_BITS:
         raise PlanError(f"the subset table needs {bits} bits, past its limit of {_MAX_SUBSET_BITS}")
     field = (1 << w) - 1
-    size = (limit + 1) * w
-    full = (1 << size) - 1
+    full = (1 << (limit + 1) * w) - 1
     ones = full // field
     guards = ones << (w - 1)
-    unreachable = (m + 1) * ones
-    row = unreachable - (m + 1)  # no items: only the empty sum 0 is reachable
+    raised = ones | guards
+    row = m + 1  # no items: only the empty sum 0 is reachable
     rows = [row] * (m + 1)
     for j in range(m - 1, -1, -1):
-        shift = fit[j] * w
-        # one more item on top of every sum s - a, unreachable below a
-        cand = ((row << shift) & full | unreachable >> (size - shift)) + ones
-        # a guard survives where row >= cand; the field-wise minimum then
-        # takes off row - cand there
-        diff = (row | guards) - cand
+        # one more item on top of every sum s - a; the fields below a
+        # shift in as 0, unreachable
+        cand = (row << fit[j] * w) & full
+        # a guard survives where row + 1 >= cand, and the field-wise
+        # maximum then adds row + 1 - cand there
+        diff = row + raised - cand
         keep = diff & guards
-        row = rows[j] = row - (diff & (keep - (keep >> (w - 1))))
-    # the best total is the highest field that is not m + 1; field 0 is 0
-    best = ((row ^ unreachable).bit_length() - 1) // w
+        row = rows[j] = cand + (diff & (keep - (keep >> (w - 1)))) - ones
+    # the best total is the highest reachable field; field 0 is m + 1
+    best = (row.bit_length() - 1) // w
     chosen = []
-    total, count = best, row >> best * w & field
+    # g is m + 1 less the items still to pick for the total
+    total, g = best, row >> best * w
     j = 0
-    while count:
+    while g <= m:
         a = fit[j]
         j += 1
-        if a <= total and rows[j] >> (total - a) * w & field == count - 1:
+        if a <= total and rows[j] >> (total - a) * w & field == g + 1:
             chosen.append(index[j - 1])
             total -= a
-            count -= 1
+            g += 1
     return tuple(chosen)
 
 
@@ -170,12 +173,11 @@ def realize_transfers(plan: AnnualPlan, transfers: TransferVector) -> Realizatio
     right month. Raises the usual constraint errors when the transfer
     vector is infeasible for this plan.
     """
-    loads = column_sums(plan)
-    validate_transfers(loads, transfers)
     k = plan.k
     # per month column: the hours still free to move (a claimed cell
     # reads 0), each cell's mark, and the adjusted plan
     free = [list(col) for col in zip(*plan.entries)]
+    validate_transfers(MonthlyLoads._trusted(tuple(map(sum, free))), transfers)
     marks = [[0] * k for _ in free]
     adjusted = [list(col) for col in free]
     achieved = []

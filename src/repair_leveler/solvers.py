@@ -16,11 +16,10 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import ceil, floor
 from operator import sub
 
 from .errors import PlanError
-from .plan import MonthlyLoads, TransferVector, _Frozen, apply_transfers, mean_load, validate_transfers
+from .plan import MonthlyLoads, TransferVector, _Frozen, apply_transfers, validate_transfers
 
 __all__ = [
     "Objective",
@@ -263,13 +262,6 @@ def solve_exact(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> S
     return SolveResult(transfers, Fraction(best, scale), "exact", True, visited)
 
 
-def _round_half_toward_zero(value: Fraction) -> int:
-    """Nearest integer, exact .5 ties going toward zero."""
-    if value >= 0:
-        return ceil(value - Fraction(1, 2))
-    return floor(value + Fraction(1, 2))
-
-
 def solve_greedy(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> SolveResult:
     """One left-to-right sweep: push each month's excess forward, pull each
     deficit from the following month.
@@ -280,12 +272,14 @@ def solve_greedy(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> 
     """
     L = loads.loads
     n = len(L)
-    m = mean_load(loads)
+    total = loads.total()
     xs = []
     carry = 0  # signed flow chosen at the previous boundary
     for b in range(n - 1):
         current = L[b] + carry
-        step = _round_half_toward_zero(current - m)
+        d = n * current - total
+        # the distance d / n to the nearest integer, an exact half toward zero
+        step = -((n - 2 * d) // (2 * n)) if d >= 0 else (2 * d + n) // (2 * n)
         if step > 0:
             x = min(step, L[b], current)
         elif step < 0:

@@ -4,11 +4,13 @@ Every draw goes through an explicit random.Random so each test is
 reproducible from its seed alone.
 """
 
+import csv
 import importlib.util
 import json
 import random
 import sys
 from fractions import Fraction
+from math import ceil, floor
 from pathlib import Path
 
 from repair_leveler import (
@@ -22,8 +24,12 @@ from repair_leveler import (
     SelectionProblem,
     ShiftMatrix,
     SolveResult,
+    SolverConfig,
     TransferVector,
+    apply_transfers,
     column_sums,
+    deviation,
+    mean_load,
     subset_select,
     validate_transfers,
 )
@@ -60,6 +66,57 @@ def load_perfbench(stem: str):
 def json_report(doc) -> str:
     """Reference for io.render_report: json's own indented rendering."""
     return json.dumps(doc, indent=2) + "\n"
+
+
+def raising_int_like(cell: str) -> bool:
+    """Reference for io._int_like: int() tried on every cell, each cell
+    it refuses costing one caught ValueError."""
+    try:
+        int(cell)
+    except ValueError:
+        # int() also refuses a number past sys.get_int_max_str_digits()
+        digits = cell[1:] if cell[:1] in ("+", "-") else cell
+        return digits.isdecimal()
+    return True
+
+
+def csv_write_matrix(rows, n: int, path) -> None:
+    """Reference for io._write_matrix: csv.writer's month header and rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"month_{j + 1}" for j in range(n)])
+        writer.writerows(rows)
+
+
+def _round_half_toward_zero(value: Fraction) -> int:
+    """Nearest integer, exact .5 ties going toward zero."""
+    if value >= 0:
+        return ceil(value - Fraction(1, 2))
+    return floor(value + Fraction(1, 2))
+
+
+def fraction_solve_greedy(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> SolveResult:
+    """Reference for solvers.solve_greedy: the same sweep, rounding the
+    running load's distance to a Fraction mean with ceil and floor."""
+    L = loads.loads
+    n = len(L)
+    m = mean_load(loads)
+    xs = []
+    carry = 0  # signed flow chosen at the previous boundary
+    for b in range(n - 1):
+        current = L[b] + carry
+        step = _round_half_toward_zero(current - m)
+        if step > 0:
+            x = min(step, L[b], current)
+        elif step < 0:
+            x = -min(-step, L[b + 1])  # months to the right are still untouched
+        else:
+            x = 0
+        xs.append(x)
+        carry = x
+    transfers = TransferVector(tuple(xs))
+    value = deviation(apply_transfers(loads, transfers), config.objective)  # validates on the way
+    return SolveResult(transfers, value, "greedy", False, n - 1)
 
 
 def random_loads(rng: random.Random, n: int, max_load: int) -> MonthlyLoads:

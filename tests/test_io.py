@@ -21,8 +21,17 @@ from repair_leveler import (
     write_plan,
     write_shift_matrix,
 )
-from repair_leveler.io import _csv_rows, _parse_plain, _parse_rows, build_report, render_report, standard_form_to_dict
-from helpers import GOLDEN_PLAN, json_report, load_perfbench
+from repair_leveler.io import (
+    _csv_rows,
+    _int_like,
+    _parse_plain,
+    _parse_rows,
+    _write_matrix,
+    build_report,
+    render_report,
+    standard_form_to_dict,
+)
+from helpers import GOLDEN_PLAN, csv_write_matrix, json_report, load_perfbench, raising_int_like
 
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_int_digit_limit = pytest.mark.skipif(INT_DIGITS == 0, reason="this interpreter reads integers of any length")
@@ -251,6 +260,28 @@ def plan_texts(draw):
     return ("\ufeff" if draw(st.booleans()) else "") + text
 
 
+# ASCII and Arabic-Indic digits, "_", signs, ASCII and non-ASCII spaces, letters
+_CELL_CHARS = "0123456789\u0663\u0669_+- \t\u2003\xa0\x1cabxm"
+
+
+@st.composite
+def header_cells(draw):
+    """Short cells over _CELL_CHARS, or digit strings longer than int()
+    reads, with or without underscores and a sign."""
+    if INT_DIGITS == 0 or draw(st.integers(0, 3)):
+        return draw(st.text(_CELL_CHARS, max_size=8))
+    digits = "7" * draw(st.integers(INT_DIGITS - 1, INT_DIGITS + 3))
+    if draw(st.booleans()):
+        digits = "_".join(digits[i : i + 3] for i in range(0, len(digits), 3))
+    return draw(st.sampled_from(("", "+", "-", " "))) + digits + draw(st.sampled_from(("", "x", "\u0663", " ")))
+
+
+@settings(max_examples=400, deadline=None)
+@given(header_cells())
+def test_int_like_matches_raising_reference(cell):
+    assert _int_like(cell) == raising_int_like(cell)
+
+
 @settings(max_examples=400, deadline=None)
 @given(plan_texts())
 def test_parse_matches_cell_walk(text):
@@ -295,6 +326,42 @@ def test_write_plan_round_trip(tmp_path: Path):
     assert parse_plan(out).entries == GOLDEN_PLAN.entries
     first = out.read_text().splitlines()[0]
     assert first == "month_1,month_2,month_3,month_4"
+
+
+class _Month(enum.IntEnum):
+    A = 3
+
+
+class _Hours(int):
+    def __str__(self):
+        return f"{int(self)}h"
+
+
+def test_write_plan_writes_integer_values_of_int_subclasses(tmp_path: Path):
+    # str() of either cell is no integer ("_Month.A" on Python 3.10, "3h");
+    # the writers write the value
+    plan = AnnualPlan(((_Month.A, _Hours(3)), (_Hours(0), 1)))
+    out = tmp_path / "plan.csv"
+    write_plan(plan, out)
+    assert out.read_text() == "month_1,month_2\n3,3\n0,1\n"
+    assert parse_plan(out) == AnnualPlan(((3, 3), (0, 1)))
+    write_shift_matrix(ShiftMatrix(((_Hours(0), _Hours(-1)), (_Hours(1), 0))), out)
+    assert out.read_text() == "month_1,month_2\n0,-1\n1,0\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 14).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(-(10**30), 10**30)] * n), min_size=0, max_size=6)
+        .map(lambda rows: (n, rows))
+    )
+)
+def test_write_matrix_matches_csv_writer(tmp_path_factory, case):
+    n, rows = case
+    tmp = tmp_path_factory.mktemp("matrix")
+    _write_matrix(rows, n, tmp / "got.csv")
+    csv_write_matrix(rows, n, tmp / "want.csv")
+    assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
 
 
 def test_write_plan_deterministic_bytes(tmp_path: Path):

@@ -29,6 +29,7 @@ from helpers import (
     GOLDEN_LOADS,
     SWEEP_LOAD_CAP,
     direct_deviation,
+    fraction_solve_greedy,
     load_perfbench,
     pointer_chain_dp,
     quadratic_chain_dp,
@@ -134,6 +135,26 @@ def test_greedy_rounding_half_toward_zero():
     # deviations of exactly .5 round to the smaller magnitude
     assert solve_greedy(MonthlyLoads((3, 0))).transfers.x == (1,)
     assert solve_greedy(MonthlyLoads((0, 3))).transfers.x == (-1,)
+
+
+@st.composite
+def greedy_loads(draw):
+    """Loads of 2-12 months; in half the draws n is even and the total is
+    n/2 modulo n, so every boundary's distance to the mean, (n * load -
+    total) / n, is an exact half, above the mean or below it."""
+    halves = draw(st.booleans())
+    n = draw(st.sampled_from((2, 4, 6, 8, 12))) if halves else draw(st.integers(2, 12))
+    hours = draw(st.lists(st.integers(0, draw(st.sampled_from((3, 60, 10**6)))), min_size=n, max_size=n))
+    if halves:
+        hours[draw(st.integers(0, n - 1))] += (n // 2 - sum(hours)) % n
+    return MonthlyLoads(tuple(hours))
+
+
+@settings(max_examples=300, deadline=None)
+@given(greedy_loads(), st.sampled_from(Objective))
+def test_greedy_matches_fraction_reference(loads, objective):
+    config = SolverConfig(objective)
+    assert solve_greedy(loads, config) == fraction_solve_greedy(loads, config)
 
 
 def test_greedy_pulls_backward():
