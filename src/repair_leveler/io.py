@@ -10,12 +10,11 @@ from __future__ import annotations
 import csv
 import json
 import re
-from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 from typing import IO
 
-from .errors import PlanError, PlanParseError
+from .errors import PlanParseError
 from .plan import AnnualPlan, ShiftMatrix, column_sums, mean_load
 from .realization import RealizationResult
 from .solvers import Objective, SolveResult, StandardFormQP, deviation
@@ -34,36 +33,31 @@ __all__ = [
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
-# a cell holding any other character is no number to int(): Unicode
-# decimal digits, whitespace, "_" and signs are all that int() reads
-_INT_CHARS = re.compile(r"[\d\s_+-]*")
-
-
-def _int_like(cell: str) -> bool:
-    if not _INT_CHARS.fullmatch(cell):
-        return False
-    try:
-        int(cell)
-    except ValueError:
-        # int() also refuses a number past sys.get_int_max_str_digits()
-        digits = cell[1:] if cell[:1] in ("+", "-") else cell
-        return digits.isdecimal()
-    return True
+# int()'s base-10 grammar for a stripped cell, with no limit on its digits:
+# Unicode decimal digits, grouped by single "_", after an optional sign
+_NUMBER = re.compile(r"[+-]?\d+(?:_\d+)*")
 
 
 def _is_header(cells: list[str]) -> bool:
-    """A header holds nothing int() reads as a number, whatever its length;
-    any other first row is data, so "1,x", "+5,+6" or a cell too long
-    for int() fails at its bad cell."""
-    return not any(map(_int_like, cells))
+    """A header holds no stripped cell that int() reads as a number,
+    whatever its length; any other first row is data, so "1,x", "+5,+6"
+    or a cell too long for int() fails at its bad cell."""
+    return not any(map(_NUMBER.fullmatch, cells))
 
 
-def _parse_rows(rows: list[list[str]]) -> AnnualPlan:
+def _parse_rows(text: str) -> AnnualPlan:
+    """The cell walk: the csv reader's rows, each cell checked and named
+    when bad. A reader error, such as a field past csv.field_size_limit()
+    or a NUL on Python 3.10, fails at its row."""
     cleaned: list[tuple[int, list[str]]] = []  # (1-based file row, cells)
-    for lineno, row in enumerate(rows, start=1):
-        cells = [cell.strip() for cell in row]
-        if any(cells):  # a row of only blank cells is a blank line, never a header
-            cleaned.append((lineno, cells))
+    lineno = 0
+    try:
+        for lineno, row in enumerate(csv.reader(StringIO(text, newline="")), start=1):
+            cells = [cell.strip() for cell in row]
+            if any(cells):  # a row of only blank cells is a blank line, never a header
+                cleaned.append((lineno, cells))
+    except csv.Error as exc:
+        raise PlanParseError(f"row {lineno + 1}: {exc}", row=lineno + 1) from exc
     if not cleaned:
         raise PlanParseError("plan file holds no rows")
 
@@ -82,8 +76,10 @@ def _parse_rows(rows: list[list[str]]) -> AnnualPlan:
         parsed = []
         for col, cell in enumerate(cells, start=1):
             if not _INTEGER.fullmatch(cell):
+                # a cell may run to csv's field limit: a long one shows its start and length
+                shown = repr(cell) if len(cell) <= 20 else f"{cell[:20]!r}… ({len(cell)} characters)"
                 raise PlanParseError(
-                    f"row {lineno}, column {col}: {cell!r} is not an integer",
+                    f"row {lineno}, column {col}: {shown} is not an integer",
                     row=lineno,
                     column=col,
                 )
@@ -103,10 +99,9 @@ def _parse_rows(rows: list[list[str]]) -> AnnualPlan:
                 )
             parsed.append(value)
         entries.append(tuple(parsed))
-    try:
-        return AnnualPlan(tuple(entries))
-    except PlanError as exc:  # e.g. a one-month file: structurally bad input
-        raise PlanParseError(str(exc)) from exc
+    if width < 2:
+        raise PlanParseError("plan needs at least two months")
+    return AnnualPlan._trusted(tuple(entries))  # every rule of AnnualPlan is checked above
 
 
 def parse_plan(source: str | Path | IO[str]) -> AnnualPlan:
@@ -116,22 +111,25 @@ def parse_plan(source: str | Path | IO[str]) -> AnnualPlan:
     ASCII digits with an optional leading "-" (negatives are rejected as
     such). A row whose cells are all blank is skipped wherever it is, as
     an empty line is. A header row is optional: the first row is one when
-    none of its cells is a number to int(), so a first row such as
-    "+5,+6" is data and fails at its first cell. A path is read as UTF-8; one
-    leading byte-order mark is dropped from a path or a stream alike.
+    none of its cells is a number to int() at any length, so a first row
+    such as "+5,+6" is data and fails at its first cell. A path is read as
+    UTF-8; one leading byte-order mark is dropped from a path or a stream
+    alike.
     Raises PlanParseError with the 1-based row/column on malformed input,
     including unreadable paths, bytes that are not UTF-8 and oversized
     cells: one with more digits than int() reads, or one past the csv
     module's field size limit.
     """
     if hasattr(source, "read"):
-        return _parse_text(_read_text(source))
-    try:
-        with open(source, newline="", encoding="utf-8") as fh:
-            text = _read_text(fh)
-    except OSError as exc:
-        raise PlanParseError(f"cannot read plan file {source}: {exc.strerror}") from exc
-    return _parse_text(text)
+        text = _read_text(source)
+    else:
+        try:
+            with open(source, newline="", encoding="utf-8") as fh:
+                text = _read_text(fh)
+        except OSError as exc:
+            raise PlanParseError(f"cannot read plan file {source}: {exc.strerror}") from exc
+    plan = _parse_plain(text)
+    return plan if plan is not None else _parse_rows(text)
 
 
 def _read_text(fh: IO[str]) -> str:
@@ -139,23 +137,6 @@ def _read_text(fh: IO[str]) -> str:
         return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise PlanParseError(f"plan file is not UTF-8 text: {exc.reason}") from exc
-
-
-def _parse_text(text: str) -> AnnualPlan:
-    plan = _parse_plain(text)
-    return plan if plan is not None else _parse_rows(_csv_rows(text))
-
-
-def _csv_rows(text: str) -> list[list[str]]:
-    """The csv reader's rows; a reader error, such as a field past
-    csv.field_size_limit() or a NUL on Python 3.10, fails at its row."""
-    rows: list[list[str]] = []
-    try:
-        for row in csv.reader(StringIO(text, newline="")):
-            rows.append(row)
-    except csv.Error as exc:
-        raise PlanParseError(f"row {len(rows) + 1}: {exc}", row=len(rows) + 1) from exc
-    return rows
 
 
 # characters the csv reader treats apart from "," and "\n" (NUL only on 3.10)
@@ -217,10 +198,6 @@ def write_shift_matrix(shifts: ShiftMatrix, path: str | Path) -> None:
     _write_matrix(shifts.shifts, shifts.n, path)
 
 
-def _ratio(value: Fraction) -> str:
-    return str(value)  # "p/q", or plain "p" when the denominator is 1
-
-
 def build_report(
     plan: AnnualPlan,
     objective: Objective,
@@ -245,7 +222,7 @@ def build_report(
             "months": plan.n,
             "column_sums": list(loads.loads),
             "total_hours": loads.total(),
-            "mean": _ratio(mean),
+            "mean": str(mean),
             "mean_decimal": float(mean),
         },
         "method": result.method,
@@ -258,7 +235,7 @@ def build_report(
         ("objective_after", result.objective_value),
         ("objective_realized", deviation(column_sums(realization.adjusted_plan), objective)),
     ):
-        doc[key] = _ratio(value)
+        doc[key] = str(value)
         doc[f"{key}_decimal"] = float(value)
     transfers = result.transfers.x
     doc["transfers"] = list(transfers)
@@ -337,17 +314,17 @@ def render_report(report: dict) -> str:
 def standard_form_to_dict(qp: StandardFormQP) -> dict:
     """Serialize a standard-form export; rationals become "p/q" strings."""
     return {
-        "shifted_loads": [_ratio(v) for v in qp.shifted_loads],
-        "linear_coeffs": [_ratio(v) for v in qp.linear_coeffs],
-        "quadratic_coeffs": [[_ratio(v) for v in row] for row in qp.quadratic_coeffs],
+        "shifted_loads": [str(v) for v in qp.shifted_loads],
+        "linear_coeffs": [str(v) for v in qp.linear_coeffs],
+        "quadratic_coeffs": [[str(v) for v in row] for row in qp.quadratic_coeffs],
         "constraint_matrix": [list(row) for row in qp.constraint_matrix],
         "constraint_rhs": list(qp.constraint_rhs),
         "variables": list(qp.variables),
         "substitution": {
             "relation": "x_i = xbar_i - x0, all substituted variables non-negative",
             "variables": list(qp.substitution.variables),
-            "linear": [_ratio(v) for v in qp.substitution.linear],
-            "quadratic": [[_ratio(v) for v in row] for row in qp.substitution.quadratic],
+            "linear": [str(v) for v in qp.substitution.linear],
+            "quadratic": [[str(v) for v in row] for row in qp.substitution.quadratic],
         },
-        "constant_offset": _ratio(qp.constant_offset),
+        "constant_offset": str(qp.constant_offset),
     }

@@ -87,7 +87,9 @@ class _Frozen:
     that the checks would accept unchanged, because they were built from
     checked values by steps that keep every rule: a plan's cells moved
     within their row, a pool of its non-empty cells. A value that comes
-    from outside the package goes through the checks.
+    from outside the package goes through the checks, but for file input:
+    both of `io.parse_plan`'s paths check the text cell by cell and build
+    the plan with `_trusted`.
     """
 
     __slots__ = ()

@@ -68,15 +68,19 @@ def json_report(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def raising_int_like(cell: str) -> bool:
-    """Reference for io._int_like: int() tried on every cell, each cell
-    it refuses costing one caught ValueError."""
+def lifted_int_like(cell: str) -> bool:
+    """Reference for io._is_header's number rule: whether int() reads the
+    cell with sys.set_int_max_str_digits(0) lifting its digit limit, or
+    plain int() where the interpreter has no such limit."""
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(0)
     try:
         int(cell)
     except ValueError:
-        # int() also refuses a number past sys.get_int_max_str_digits()
-        digits = cell[1:] if cell[:1] in ("+", "-") else cell
-        return digits.isdecimal()
+        return False
+    finally:
+        set_limit(limit)
     return True
 
 

@@ -22,8 +22,7 @@ from repair_leveler import (
     write_shift_matrix,
 )
 from repair_leveler.io import (
-    _csv_rows,
-    _int_like,
+    _is_header,
     _parse_plain,
     _parse_rows,
     _write_matrix,
@@ -31,10 +30,14 @@ from repair_leveler.io import (
     render_report,
     standard_form_to_dict,
 )
-from helpers import GOLDEN_PLAN, csv_write_matrix, json_report, load_perfbench, raising_int_like
+from helpers import GOLDEN_PLAN, csv_write_matrix, json_report, lifted_int_like, load_perfbench
 
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_int_digit_limit = pytest.mark.skipif(INT_DIGITS == 0, reason="this interpreter reads integers of any length")
+# a first row of "_"-grouped numbers, one plain and one signed, each with
+# more digits than int() reads by default
+_GROUPED = "_".join(["777"] * (max(INT_DIGITS, 4300) // 3 + 1))
+LONG_GROUPED_ROW = f"{_GROUPED},+{_GROUPED}"
 
 
 def test_parse_with_header(tmp_path: Path):
@@ -190,6 +193,28 @@ def test_parse_names_a_cell_too_long_for_int(newline):
         assert len(str(exc.value)) < 100  # the value is not echoed
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["plain", "cell-walk"])
+@pytest.mark.parametrize(
+    "rows, where",
+    [(["month_1,month_2", "1,2", "3," + "x" * 100_000], (3, 2)), ([LONG_GROUPED_ROW, "1,2"], (1, 1))],
+    ids=["long-text", "long-grouped-first-row"],
+)
+def test_parse_does_not_echo_a_long_bad_cell(rows, where, newline):
+    # LONG_GROUPED_ROW's cells are numbers that int() refuses only for their
+    # length, so the row is data that fails at its first cell, not a header
+    with pytest.raises(PlanParseError) as exc:
+        parse_plan(io.StringIO(newline.join(rows) + newline))
+    assert (exc.value.row, exc.value.column) == where
+    assert "characters) is not an integer" in str(exc.value)
+    assert len(str(exc.value)) < 100
+
+
+def test_parse_echoes_a_bad_cell_of_twenty_characters_whole():
+    with pytest.raises(PlanParseError) as exc:
+        parse_plan(io.StringIO("1,2\n3," + "x" * 20 + "\n"))
+    assert str(exc.value) == "row 2, column 2: 'xxxxxxxxxxxxxxxxxxxx' is not an integer"
+
+
 @pytest.mark.parametrize("cell", ["7" * 200_000, "x" * 200_000], ids=["digits", "text"])
 @pytest.mark.parametrize("where", ["header", "data"])
 def test_parse_cell_past_csv_field_limit(cell, where):
@@ -211,8 +236,8 @@ def test_parse_rejects_bytes_that_are_not_utf8(tmp_path: Path):
 
 
 def _walk(text: str):
-    """The cell walk alone: the csv reader, then _parse_rows."""
-    return _parse_rows(_csv_rows(text.removeprefix("\ufeff")))
+    """The cell walk alone, on the text parse_plan reads past a byte-order mark."""
+    return _parse_rows(text.removeprefix("\ufeff"))
 
 
 def _outcome(parse, text: str):
@@ -253,7 +278,7 @@ def plan_texts(draw):
     if draw(st.booleans()):
         headers = (",".join(f"month_{j + 1}" for j in range(n)), "a,b", "month_1", " a , b ")
         if departs():
-            headers = ('"a","b"', '"1","2"', "a\rb,c", "a,\x00", "a,1", "+5,+6", ",")
+            headers = ('"a","b"', '"1","2"', "a\rb,c", "a,\x00", "a,1", "+5,+6", ",", "1_0,2_0", LONG_GROUPED_ROW)
         lines.insert(0, draw(st.sampled_from(headers)))
     newline = "\r\n" if departs() else "\n"
     text = newline.join(lines) + ("" if departs() else newline)
@@ -278,8 +303,10 @@ def header_cells(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(header_cells())
-def test_int_like_matches_raising_reference(cell):
-    assert _int_like(cell) == raising_int_like(cell)
+def test_is_header_matches_lifted_int_reference(cell):
+    # both callers strip their cells first
+    cell = cell.strip()
+    assert _is_header([cell]) == (not lifted_int_like(cell))
 
 
 @settings(max_examples=400, deadline=None)
