@@ -11,10 +11,11 @@ import csv
 import json
 import re
 from io import StringIO
+from itertools import chain
 from pathlib import Path
 from typing import IO
 
-from .errors import PlanParseError
+from .errors import PlanError, PlanParseError
 from .plan import AnnualPlan, ShiftMatrix, column_sums, mean_load
 from .realization import RealizationResult
 from .solvers import Objective, SolveResult, StandardFormQP, deviation
@@ -45,19 +46,47 @@ def _is_header(cells: list[str]) -> bool:
     return not any(map(_NUMBER.fullmatch, cells))
 
 
-def _parse_rows(text: str) -> AnnualPlan:
-    """The cell walk: the csv reader's rows, each cell checked and named
-    when bad. A reader error, such as a field past csv.field_size_limit()
-    or a NUL on Python 3.10, fails at its row."""
-    cleaned: list[tuple[int, list[str]]] = []  # (1-based file row, cells)
-    lineno = 0
+def _bad_cell(row: int, column: int, what: str) -> PlanParseError:
+    return PlanParseError(f"row {row}, column {column}: {what}", row=row, column=column)
+
+
+def _records(text: str) -> list[list[str]]:
+    """The csv reader's records of text. A reader error, such as a field
+    past csv.field_size_limit() or a NUL on Python 3.10, fails at its row."""
+    records: list[list[str]] = []
     try:
-        for lineno, row in enumerate(csv.reader(StringIO(text, newline="")), start=1):
-            cells = [cell.strip() for cell in row]
-            if any(cells):  # a row of only blank cells is a blank line, never a header
-                cleaned.append((lineno, cells))
+        records.extend(csv.reader(StringIO(text, newline="")))  # extend keeps the rows read before a bad one
     except csv.Error as exc:
-        raise PlanParseError(f"row {lineno + 1}: {exc}", row=lineno + 1) from exc
+        raise PlanParseError(f"row {len(records) + 1}: {exc}", row=len(records) + 1) from exc
+    return records
+
+
+def _parse_rows(text: str) -> AnnualPlan:
+    """The plan of text's csv records. Records of ASCII digits after an
+    optional header, in rows of one width of at least two, are converted
+    in one step; the walk reads any other text, and names a bad cell. A
+    blank first record is a header to _is_header, as the walk skips it."""
+    records = _records(text)
+    body = records[1:] if records and _is_header([cell.strip() for cell in records[0]]) else records
+    if body:
+        width = len(body[0])
+        digits = "".join(map("".join, body))
+        if width > 1 and digits.isdigit() and digits.isascii() and set(map(len, body)) == {width}:
+            try:
+                return AnnualPlan._trusted(tuple(zip(*[map(int, chain.from_iterable(body))] * width)))
+            except ValueError:  # an empty cell, or one longer than int() reads
+                pass
+    return _walk(records)
+
+
+def _walk(records: list[list[str]]) -> AnnualPlan:
+    """The cell walk over the csv records: blank rows skipped, an optional
+    header, one width, and each cell checked and named when bad."""
+    cleaned: list[tuple[int, list[str]]] = []  # (1-based file row, cells)
+    for lineno, row in enumerate(records, start=1):
+        cells = [cell.strip() for cell in row]
+        if any(cells):  # a row of only blank cells is a blank line, never a header
+            cleaned.append((lineno, cells))
     if not cleaned:
         raise PlanParseError("plan file holds no rows")
 
@@ -70,33 +99,19 @@ def _parse_rows(text: str) -> AnnualPlan:
     entries = []
     for lineno, cells in cleaned:
         if len(cells) != width:
-            raise PlanParseError(
-                f"row {lineno} has {len(cells)} cells, expected {width}", row=lineno
-            )
+            raise PlanParseError(f"row {lineno} has {len(cells)} cells, expected {width}", row=lineno)
         parsed = []
         for col, cell in enumerate(cells, start=1):
             if not _INTEGER.fullmatch(cell):
                 # a cell may run to csv's field limit: a long one shows its start and length
                 shown = repr(cell) if len(cell) <= 20 else f"{cell[:20]!r}… ({len(cell)} characters)"
-                raise PlanParseError(
-                    f"row {lineno}, column {col}: {shown} is not an integer",
-                    row=lineno,
-                    column=col,
-                )
+                raise _bad_cell(lineno, col, f"{shown} is not an integer")
             try:
                 value = int(cell)
             except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
-                raise PlanParseError(
-                    f"row {lineno}, column {col}: a {len(cell)}-character integer is too long",
-                    row=lineno,
-                    column=col,
-                ) from exc
+                raise _bad_cell(lineno, col, f"a {len(cell)}-character integer is too long") from exc
             if value < 0:
-                raise PlanParseError(
-                    f"row {lineno}, column {col}: hours cannot be negative ({value})",
-                    row=lineno,
-                    column=col,
-                )
+                raise _bad_cell(lineno, col, f"hours cannot be negative ({value})")
             parsed.append(value)
         entries.append(tuple(parsed))
     if width < 2:
@@ -107,18 +122,18 @@ def _parse_rows(text: str) -> AnnualPlan:
 def parse_plan(source: str | Path | IO[str]) -> AnnualPlan:
     """Read an annual plan from a CSV path or text stream.
 
-    One row per equipment item, one integer column per month; a cell is
-    ASCII digits with an optional leading "-" (negatives are rejected as
-    such). A row whose cells are all blank is skipped wherever it is, as
-    an empty line is. A header row is optional: the first row is one when
-    none of its cells is a number to int() at any length, so a first row
-    such as "+5,+6" is data and fails at its first cell. A path is read as
-    UTF-8; one leading byte-order mark is dropped from a path or a stream
-    alike.
+    Every text is read by the csv reader. One row per equipment item, one
+    integer column per month; a cell is ASCII digits with an optional
+    leading "-" (negatives are rejected as such). A row whose cells are
+    all blank is skipped wherever it is, as an empty line is. A header row
+    is optional: the first row is one when none of its cells is a number
+    to int() at any length, so a first row such as "+5,+6" is data and
+    fails at its first cell. A path is read as UTF-8; one leading
+    byte-order mark is dropped from a path or a stream alike.
     Raises PlanParseError with the 1-based row/column on malformed input,
     including unreadable paths, bytes that are not UTF-8 and oversized
     cells: one with more digits than int() reads, or one past the csv
-    module's field size limit.
+    module's field size limit, on any line ending.
     """
     if hasattr(source, "read"):
         text = _read_text(source)
@@ -128,8 +143,7 @@ def parse_plan(source: str | Path | IO[str]) -> AnnualPlan:
                 text = _read_text(fh)
         except OSError as exc:
             raise PlanParseError(f"cannot read plan file {source}: {exc.strerror}") from exc
-    plan = _parse_plain(text)
-    return plan if plan is not None else _parse_rows(text)
+    return _parse_rows(text)
 
 
 def _read_text(fh: IO[str]) -> str:
@@ -137,45 +151,6 @@ def _read_text(fh: IO[str]) -> str:
         return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise PlanParseError(f"plan file is not UTF-8 text: {exc.reason}") from exc
-
-
-# characters the csv reader treats apart from "," and "\n" (NUL only on 3.10)
-_CSV_SPECIAL = '"\r\0'
-
-
-def _parse_plain(text: str) -> AnnualPlan | None:
-    """The plan of a plain text in one pass, or None when the text needs
-    _parse_rows' cell walk.
-
-    A plain text is an optional header line that the csv reader splits
-    at its commas alone, then lines of at least two unsigned ASCII
-    integers, all as wide as the first, each ending in a newline.
-    Anything else, a cell int() cannot read included, is left to the
-    walk, which alone names a bad cell. The pattern admits only rows
-    that AnnualPlan accepts, so the plan is built without checking its
-    cells again.
-    """
-    head, _, body = text.partition("\n")
-    cells = [cell.strip() for cell in head.split(",")]
-    if (
-        any(cells)
-        and _is_header(cells)
-        and len(head) <= csv.field_size_limit()
-        and not any(c in head for c in _CSV_SPECIAL)
-    ):
-        head = body.partition("\n")[0]
-    else:
-        body = text
-    n = head.count(",") + 1
-    # lines of n unsigned ASCII integers, each ending in a newline
-    if n < 2 or not re.fullmatch(r"(?:[0-9]+(?:,[0-9]+){%d}\n)+" % (n - 1), body):
-        return None
-    values = map(int, body[:-1].replace("\n", ",").split(","))
-    try:
-        rows = tuple(zip(*[values] * n))
-    except ValueError:  # a cell longer than int() reads
-        return None
-    return AnnualPlan._trusted(rows)
 
 
 def _write_matrix(rows, n: int, path: str | Path) -> None:
@@ -196,6 +171,13 @@ def write_plan(plan: AnnualPlan, path: str | Path) -> None:
 def write_shift_matrix(shifts: ShiftMatrix, path: str | Path) -> None:
     """Write a shift matrix (-1/0/+1 cells) as CSV with the month header."""
     _write_matrix(shifts.shifts, shifts.n, path)
+
+
+def _decimal(key: str, value) -> float:
+    try:
+        return float(value)
+    except OverflowError as exc:  # a plan whose hours run past a float's range
+        raise PlanError(f"report key {key}: the value is too large for a float") from exc
 
 
 def build_report(
@@ -223,7 +205,7 @@ def build_report(
             "column_sums": list(loads.loads),
             "total_hours": loads.total(),
             "mean": str(mean),
-            "mean_decimal": float(mean),
+            "mean_decimal": _decimal("mean_decimal", mean),
         },
         "method": result.method,
     }
@@ -236,7 +218,7 @@ def build_report(
         ("objective_realized", deviation(column_sums(realization.adjusted_plan), objective)),
     ):
         doc[key] = str(value)
-        doc[f"{key}_decimal"] = float(value)
+        doc[f"{key}_decimal"] = _decimal(f"{key}_decimal", value)
     transfers = result.transfers.x
     doc["transfers"] = list(transfers)
     doc["boundaries"] = [

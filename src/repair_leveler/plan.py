@@ -88,8 +88,8 @@ class _Frozen:
     checked values by steps that keep every rule: a plan's cells moved
     within their row, a pool of its non-empty cells. A value that comes
     from outside the package goes through the checks, but for file input:
-    both of `io.parse_plan`'s paths check the text cell by cell and build
-    the plan with `_trusted`.
+    `io.parse_plan` checks every cell of the text, in one step when all
+    are digits, and builds the plan with `_trusted`.
     """
 
     __slots__ = ()

@@ -261,6 +261,24 @@ def test_exit_parse_error_on_oversized_cell(cell: str, where: str, tmp_path: Pat
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "plan, flags, key",
+    [
+        (f"1,2\n{'9' * 160},3\n", ("--method", "greedy", "--objective", "quadratic"), "objective_before_decimal"),
+        (f"1,2\n{'9' * 400},3\n", ("--shifts-only", "--transfers=0"), "mean_decimal"),
+    ],
+    ids=["greedy-quadratic", "shifts-only"],
+)
+def test_exit_on_report_value_past_float_range(plan: str, flags: tuple, key: str, tmp_path: Path):
+    path = tmp_path / "plan.csv"
+    path.write_text(plan)
+    cp = run_cli("--input", str(path), "--output-dir", str(tmp_path / "o"), *flags)
+    assert cp.returncode == 2, cp.stderr
+    # one short line that names the report key, not the number
+    assert cp.stderr == f"repair-leveler: infeasible: report key {key}: the value is too large for a float\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_unwritable_output_dir(golden_csv: Path, tmp_path: Path):
     taken = tmp_path / "taken"
     taken.write_text("a file, not a directory\n")

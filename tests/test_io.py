@@ -1,3 +1,4 @@
+import csv
 import enum
 import io
 import json
@@ -21,10 +22,11 @@ from repair_leveler import (
     write_plan,
     write_shift_matrix,
 )
+import repair_leveler.io as rl_io
 from repair_leveler.io import (
     _is_header,
-    _parse_plain,
-    _parse_rows,
+    _records,
+    _walk as _walk_records,
     _write_matrix,
     build_report,
     render_report,
@@ -236,8 +238,8 @@ def test_parse_rejects_bytes_that_are_not_utf8(tmp_path: Path):
 
 
 def _walk(text: str):
-    """The cell walk alone, on the text parse_plan reads past a byte-order mark."""
-    return _parse_rows(text.removeprefix("\ufeff"))
+    """The cell walk alone, on the records parse_plan reads past a byte-order mark."""
+    return _walk_records(_records(text.removeprefix("\ufeff")))
 
 
 def _outcome(parse, text: str):
@@ -245,6 +247,19 @@ def _outcome(parse, text: str):
         return parse(text)
     except PlanParseError as exc:
         return str(exc), exc.row, exc.column
+
+
+def _parse_and_walks(text: str):
+    """parse_plan's outcome on text, and how many times it ran the cell walk."""
+    walks = []
+
+    def walk(records):
+        walks.append(records)
+        return _walk_records(records)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rl_io, "_walk", walk)
+        return _outcome(lambda t: parse_plan(io.StringIO(t)), text), len(walks)
 
 
 ODD_CELLS = (
@@ -322,8 +337,46 @@ def test_parse_matches_cell_walk(text):
     ids=["quoted-header", "cr-in-header", "crlf", "no-final-newline", "blank-line", "signed-cell", "one-column"],
 )
 def test_parse_plain_leaves_other_texts_to_the_walk(text):
-    assert _parse_plain(text) is None
+    # texts that are not a header line then newline-ended lines of digits
     assert _outcome(lambda t: parse_plan(io.StringIO(t)), text) == _outcome(_walk, text)
+
+
+@pytest.mark.parametrize(
+    "text, fast, outcome",
+    [
+        ("\n1,2\n3,4\n", True, AnnualPlan(((1, 2), (3, 4)))),
+        ("\nmonth_1,month_2\n1,2\n", False, AnnualPlan(((1, 2),))),
+        ("1,,2\n", False, ("row 1, column 2: '' is not an integer", 1, 2)),
+        ('"1","2"\n3,4\n', True, AnnualPlan(((1, 2), (3, 4)))),
+        pytest.param(
+            "1,2\n3," + "7" * 5000 + "\n", False, ("row 2, column 2: a 5000-character integer is too long", 2, 2),
+            marks=pytest.mark.skipif(not 0 < INT_DIGITS < 5000, reason="this interpreter reads a 5000-digit integer"),
+        ),
+        ("5\n6\n", False, ("plan needs at least two months", None, None)),
+        ("1,2\n3,4,5\n", False, ("row 2 has 3 cells, expected 2", 2, None)),
+    ],
+    ids=["blank-first-row", "blank-row-then-header", "empty-cell", "quoted-digits", "5000-digit-cell", "one-column", "ragged"],
+)
+def test_parse_fast_conversion_edges(text, fast, outcome):
+    assert _parse_and_walks(text) == (outcome, 0 if fast else 1)
+    assert _outcome(_walk, text) == outcome
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="int() has no digit limit to lift")
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_parse_cell_past_csv_field_limit_with_no_digit_limit(newline):
+    # with int() reading any length, only csv's field limit refuses the
+    # cell, and it must do so on every line ending
+    text = newline.join(["month_1,month_2", "1,2", "3," + "7" * (csv.field_size_limit() + 1)]) + newline
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(PlanParseError) as exc:
+            parse_plan(io.StringIO(text))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(exc.value) == f"row 3: field larger than field limit ({csv.field_size_limit()})"
+    assert (exc.value.row, exc.value.column) == (3, None)
 
 
 workloads = load_perfbench("workloads")
@@ -338,13 +391,14 @@ workloads = load_perfbench("workloads")
 )
 def test_plain_path_reads_benchmark_shaped_texts(rows, header):
     text = workloads.Case(tuple(rows), (), header).csv_text()
-    assert _parse_plain(text) == _walk(text) == AnnualPlan(tuple(rows))
+    assert _parse_and_walks(text) == (_walk(text), 0)
+    assert _walk(text) == AnnualPlan(tuple(rows))
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_plain_path_reads_every_benchmark_plan(name):
     for case in workloads.generate(name, 1):
-        assert _parse_plain(case.csv_text()) == AnnualPlan(case.rows)
+        assert _parse_and_walks(case.csv_text()) == (AnnualPlan(case.rows), 0)
 
 
 def test_write_plan_round_trip(tmp_path: Path):

@@ -124,9 +124,9 @@ PINNED_RUNS = {
 }
 
 # recorded from the program before _chain_dp cut its dead states, the
-# fleet and weekly runs before parse_plan's one-pass path and realization
-# by month column; a change that moves an emitted byte re-records them and
-# says why
+# fleet and weekly runs before parse_plan's one-step conversion of digit
+# rows and realization by month column; a change that moves an emitted
+# byte re-records them and says why
 PINNED_DIGESTS = {
     "dead-bisection-l1": "e7f7e353048c3be22f2f5c6934185cc776c5ca568f763896499fc5a0e8011c9c",
     "dead-bisection-quadratic": "2acee49ded648616bff38c78a0fde319de56b2b2b83636f2b66029ebb3d87386",
