@@ -39,3 +39,20 @@ class PlanParseError(LevelingError):
         super().__init__(message)
         self.row = row
         self.column = column
+
+
+def _abridged(value: str | int) -> str:
+    """A cell's repr or a non-negative integer's digits, for a message: whole
+    up to 20 characters or digits, past that its first 20 and its length.
+    An integer is cut by arithmetic, not by str(), so one past int()'s
+    digit limit shows too."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 20 else f"{value[:20]!r}… ({len(value)} characters)"
+    if value < 10**20:
+        return str(value)
+    digits = value.bit_length() * 3 // 10  # at most the digit count, as log10(2) > 0.3
+    power = 10**digits
+    while power <= value:
+        digits += 1
+        power *= 10
+    return f"{value // 10 ** (digits - 20)}… ({digits} digits)"

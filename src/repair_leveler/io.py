@@ -15,7 +15,7 @@ from itertools import chain
 from pathlib import Path
 from typing import IO
 
-from .errors import PlanError, PlanParseError
+from .errors import PlanError, PlanParseError, _abridged
 from .plan import AnnualPlan, ShiftMatrix, column_sums, mean_load
 from .realization import RealizationResult
 from .solvers import Objective, SolveResult, StandardFormQP, deviation
@@ -104,8 +104,7 @@ def _walk(records: list[list[str]]) -> AnnualPlan:
         for col, cell in enumerate(cells, start=1):
             if not _INTEGER.fullmatch(cell):
                 # a cell may run to csv's field limit: a long one shows its start and length
-                shown = repr(cell) if len(cell) <= 20 else f"{cell[:20]!r}… ({len(cell)} characters)"
-                raise _bad_cell(lineno, col, f"{shown} is not an integer")
+                raise _bad_cell(lineno, col, f"{_abridged(cell)} is not an integer")
             try:
                 value = int(cell)
             except ValueError as exc:  # more digits than sys.get_int_max_str_digits()

@@ -2,50 +2,39 @@
 
 Each search enumerates its whole space with the same tie-breaking as the
 production path, so full outputs can be compared, not just objective
-values. Instances past the budget are refused outright; a silently
-truncated reference would be worse than none.
+values. Instances past the _MAX_* limits below raise BudgetExceededError
+outright; a silently truncated reference would be worse than none.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import BudgetExceededError
-from .plan import AnnualPlan, MonthlyLoads, ShiftMatrix, TransferVector, _Frozen, column_sums
+from .errors import BudgetExceededError, _abridged
+from .plan import AnnualPlan, MonthlyLoads, ShiftMatrix, TransferVector, column_sums
 from .realization import SelectionProblem
 from .solvers import Objective, SolveResult, _scaled_month_cost
 
 __all__ = [
-    "OracleBudget",
     "brute_force_transfers",
     "brute_force_shifts",
     "brute_force_subset",
 ]
 
-
-class OracleBudget(_Frozen):
-    """Hard limits for the exhaustive searches.
-
-    max_states caps visited search nodes; the remaining fields refuse
-    instances that could not finish inside it anyway.
-    """
-
-    __slots__ = ("max_states", "max_months", "max_month_load", "max_cells", "max_items")
-
-    def __init__(
-        self,
-        max_states: int = 5_000_000,
-        max_months: int = 6,  # transfer search
-        max_month_load: int = 60,  # transfer search, per month
-        max_cells: int = 12,  # shift search, k*n
-        max_items: int = 20,  # subset scan
-    ):
-        super().__init__(max_states, max_months, max_month_load, max_cells, max_items)
+# The searches' limits. _MAX_STATES caps the nodes a search visits; the
+# others refuse instances that could not finish inside it anyway. 12 cells
+# bound the shift search to (3**13 - 1) / 2 = 797,161 nodes and 20 items
+# the subset scan to 2**20 subsets, both below _MAX_STATES, so neither
+# search's state guard can fire at these values: each stays so that its
+# search is still bounded if a cell or item limit is raised.
+_MAX_STATES = 5_000_000
+_MAX_MONTHS = 6  # transfer search
+_MAX_MONTH_LOAD = 60  # transfer search, per month
+_MAX_CELLS = 12  # shift search, k*n
+_MAX_ITEMS = 20  # subset scan
 
 
-def brute_force_transfers(
-    loads: MonthlyLoads, objective: Objective, budget: OracleBudget = OracleBudget()
-) -> SolveResult:
+def brute_force_transfers(loads: MonthlyLoads, objective: Objective) -> SolveResult:
     """True transfer optimum by enumerating every feasible integer vector.
 
     Flows are scanned in ascending order and the incumbent is replaced
@@ -55,25 +44,24 @@ def brute_force_transfers(
     discarded; that cannot skip a strictly better or lex-smaller optimum.
     At the last boundary every flow's total is listed and the first
     smallest one is taken, which is the same rule. Each boundary's whole
-    flow range counts toward visited_states, and the budget is checked
-    once per range: the search passes max_states exactly when the
-    one-at-a-time count does.
+    flow range counts toward visited_states, and _MAX_STATES is checked
+    once per range: the search passes it exactly when the one-at-a-time
+    count does.
     """
     L = loads.loads
     n = len(L)
-    if n > budget.max_months:
-        raise BudgetExceededError(f"transfer search accepts up to {budget.max_months} months, got {n}")
+    if n > _MAX_MONTHS:
+        raise BudgetExceededError(f"transfer search accepts up to {_MAX_MONTHS} months, got {n}")
     top_load = max(L)
-    if top_load > budget.max_month_load:
+    if top_load > _MAX_MONTH_LOAD:
         raise BudgetExceededError(
-            f"transfer search accepts monthly loads up to {budget.max_month_load}, got {top_load}"
+            f"transfer search accepts monthly loads up to {_MAX_MONTH_LOAD}, got {_abridged(top_load)}"
         )
     cost, scale = _scaled_month_cost(objective, n, sum(L))
     # a month keeps at most its own load plus both neighbours'
     C = [cost(v) for v in range(3 * top_load + 1)]
     B = n - 1
     end = L[n - 1]
-    max_states = budget.max_states
     best_cost = None
     best_x: tuple[int, ...] | None = None
     xs = [0] * B
@@ -85,8 +73,8 @@ def brute_force_transfers(
         lo = -L[b + 1]
         hi = L[b] if L[b] < pool else pool
         state += hi - lo + 1
-        if state > max_states:
-            raise BudgetExceededError(f"transfer search passed {max_states} states")
+        if state > _MAX_STATES:
+            raise BudgetExceededError(f"transfer search passed {_MAX_STATES} states")
         if b == B - 1:
             totals = [run + C[pool - x] + C[end + x] for x in range(lo, hi + 1)]
             final = min(totals)
@@ -106,9 +94,7 @@ def brute_force_transfers(
     return SolveResult(TransferVector(best_x), Fraction(best_cost, scale), "brute-force", True, state)
 
 
-def brute_force_shifts(
-    plan: AnnualPlan, objective: Objective, budget: OracleBudget = OracleBudget()
-) -> tuple[ShiftMatrix, Fraction]:
+def brute_force_shifts(plan: AnnualPlan, objective: Objective) -> tuple[ShiftMatrix, Fraction]:
     """Best shift matrix by scanning every valid per-cell move pattern.
 
     Cells are visited row-major with options ascending (-1, 0, +1), so
@@ -116,13 +102,12 @@ def brute_force_shifts(
     row-major flattening is lexicographically smallest among optima.
     """
     k, n = plan.k, plan.n
-    if k * n > budget.max_cells:
-        raise BudgetExceededError(f"shift search accepts up to {budget.max_cells} cells, got {k * n}")
+    if k * n > _MAX_CELLS:
+        raise BudgetExceededError(f"shift search accepts up to {_MAX_CELLS} cells, got {k * n}")
     cost, scale = _scaled_month_cost(objective, n, plan.total_hours())
     cells = [(i, j) for i in range(k) for j in range(n) if plan.entries[i][j] > 0]
     sums = list(column_sums(plan).loads)
     marks = [[0] * n for _ in range(k)]
-    max_states = budget.max_states
     best: int | None = None
     best_marks: tuple[tuple[int, ...], ...] | None = None
     state = 0
@@ -130,8 +115,8 @@ def brute_force_shifts(
     def walk(idx: int) -> None:
         nonlocal best, best_marks, state
         state += 1
-        if state > max_states:
-            raise BudgetExceededError(f"shift search passed {max_states} states")
+        if state > _MAX_STATES:
+            raise BudgetExceededError(f"shift search passed {_MAX_STATES} states")
         if idx == len(cells):
             c = sum(cost(v) for v in sums)
             if best is None or c < best:
@@ -162,15 +147,15 @@ def brute_force_shifts(
     return ShiftMatrix(best_marks), Fraction(best, scale)
 
 
-def brute_force_subset(problem: SelectionProblem, budget: OracleBudget = OracleBudget()) -> tuple[int, ...]:
+def brute_force_subset(problem: SelectionProblem) -> tuple[int, ...]:
     """Best selection by scanning all subsets, same tie-break as subset_select:
     maximal total, then fewest items, then the smallest index tuple.
     """
     N = len(problem.items)
-    if N > budget.max_items:
-        raise BudgetExceededError(f"subset scan accepts up to {budget.max_items} items, got {N}")
-    if (1 << N) > budget.max_states:
-        raise BudgetExceededError(f"subset scan would pass {budget.max_states} states")
+    if N > _MAX_ITEMS:
+        raise BudgetExceededError(f"subset scan accepts up to {_MAX_ITEMS} items, got {N}")
+    if (1 << N) > _MAX_STATES:
+        raise BudgetExceededError(f"subset scan would pass {_MAX_STATES} states")
     items = problem.items
     cap = problem.capacity
 

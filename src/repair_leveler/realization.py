@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from itertools import compress
 
-from .errors import PlanError
+from .errors import PlanError, _abridged
 from .plan import (
     AnnualPlan,
     MonthlyLoads,
@@ -119,7 +119,7 @@ def subset_select(problem: SelectionProblem) -> tuple[int, ...]:
     w = (m + 2).bit_length() + 1
     bits = (m + 1) * (limit + 1) * w
     if bits > _MAX_SUBSET_BITS:
-        raise PlanError(f"the subset table needs {bits} bits, past its limit of {_MAX_SUBSET_BITS}")
+        raise PlanError(f"the subset table needs {_abridged(bits)} bits, past its limit of {_MAX_SUBSET_BITS}")
     field = (1 << w) - 1
     full = (1 << (limit + 1) * w) - 1
     ones = full // field

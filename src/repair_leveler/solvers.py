@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import sub
 
-from .errors import PlanError
+from .errors import PlanError, _abridged
 from .plan import MonthlyLoads, TransferVector, _Frozen, apply_transfers, validate_transfers
 
 __all__ = [
@@ -113,7 +113,7 @@ def _check_chain_states(L) -> None:
     L[b] + L[b+1] + 1 for each boundary b."""
     states = 2 * sum(L) - L[0] - L[-1] + len(L)
     if states > _MAX_CHAIN_STATES:
-        raise PlanError(f"the chain DP needs {states} states, past its limit of {_MAX_CHAIN_STATES}")
+        raise PlanError(f"the chain DP needs {_abridged(states)} states, past its limit of {_MAX_CHAIN_STATES}")
 
 
 def _chain_dp(L, cost, fixed=None):
@@ -253,13 +253,19 @@ def solve_exact(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> S
     per inflow state. Loads that need more than _MAX_CHAIN_STATES inflow
     states raise PlanError.
     """
+    _check_chain_states(loads.loads)
+    return _chain_solve(loads, config.objective, "exact")
+
+
+def _chain_solve(loads: MonthlyLoads, objective: Objective, method: str, fixed=None, scans: int = 0) -> SolveResult:
+    """The chain DP's result for loads as a checked SolveResult, optimal
+    unless boundaries are pinned; scans adds the work done to pin them."""
     L = loads.loads
-    _check_chain_states(L)
-    cost, scale = _scaled_month_cost(config.objective, len(L), sum(L))
-    best, xs, visited = _chain_dp(L, cost)
+    cost, scale = _scaled_month_cost(objective, len(L), sum(L))
+    best, xs, visited = _chain_dp(L, cost, fixed)
     transfers = TransferVector(xs)
     validate_transfers(loads, transfers)  # contract check on the way out
-    return SolveResult(transfers, Fraction(best, scale), "exact", True, visited)
+    return SolveResult(transfers, Fraction(best, scale), method, fixed is None, visited + scans)
 
 
 def solve_greedy(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> SolveResult:
@@ -309,7 +315,6 @@ def solve_bisection(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) 
         return solve_exact(loads, config)
     _check_chain_states(L)
     total = sum(L)
-    cost, scale = _scaled_month_cost(config.objective, n, total)
     q, mid = n // 4, n // 2
 
     def split(start: int, cut: int, stop: int, inflow: int, outflow: int, parts: int) -> tuple[int, int]:
@@ -328,16 +333,7 @@ def solve_bisection(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) 
     v_q3, scan3 = split(mid, 3 * q, n, v_mid, 0, 4)
 
     fixed = {q - 1: v_q1, mid - 1: v_mid, 3 * q - 1: v_q3}
-    best, xs, visited = _chain_dp(L, cost, fixed)
-    transfers = TransferVector(xs)
-    validate_transfers(loads, transfers)
-    return SolveResult(
-        transfers,
-        Fraction(best, scale),
-        "bisection",
-        False,
-        visited + scan1 + scan2 + scan3,
-    )
+    return _chain_solve(loads, config.objective, "bisection", fixed, scan1 + scan2 + scan3)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from repair_leveler import (
     BudgetExceededError,
     MonthlyLoads,
     Objective,
-    OracleBudget,
     PlanError,
     RealizationResult,
     SelectionProblem,
@@ -495,11 +494,11 @@ def cell_apply_shift_matrix(plan: AnnualPlan, shifts: ShiftMatrix) -> AnnualPlan
 
 
 def pruned_brute_force_transfers(
-    loads: MonthlyLoads, objective: Objective, budget: OracleBudget = OracleBudget()
+    loads: MonthlyLoads, objective: Objective, max_states: int, max_months: int, max_month_load: int
 ) -> SolveResult:
-    """Reference for oracle.brute_force_transfers: the same search, which
-    counts and checks the budget one flow at a time and calls the cost
-    function for every month it scores.
+    """Reference for oracle.brute_force_transfers under the given limits:
+    the same search, which counts and checks the state limit one flow at
+    a time and calls the cost function for every month it scores.
 
     Flows are scanned in ascending order and the incumbent is replaced
     only on a strict improvement, so the first optimum found is the
@@ -508,16 +507,13 @@ def pruned_brute_force_transfers(
     """
     L = loads.loads
     n = len(L)
-    if n > budget.max_months:
-        raise BudgetExceededError(f"transfer search accepts up to {budget.max_months} months, got {n}")
+    if n > max_months:
+        raise BudgetExceededError(f"transfer search accepts up to {max_months} months, got {n}")
     top_load = max(L)
-    if top_load > budget.max_month_load:
-        raise BudgetExceededError(
-            f"transfer search accepts monthly loads up to {budget.max_month_load}, got {top_load}"
-        )
+    if top_load > max_month_load:
+        raise BudgetExceededError(f"transfer search accepts monthly loads up to {max_month_load}, got {top_load}")
     cost, scale = _scaled_month_cost(objective, n, sum(L))
     B = n - 1
-    max_states = budget.max_states
     best_cost = None
     best_x: tuple[int, ...] | None = None
     xs = [0] * B

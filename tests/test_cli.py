@@ -279,6 +279,55 @@ def test_exit_on_report_value_past_float_range(plan: str, flags: tuple, key: str
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "plan, flags, code, line",
+    [
+        (
+            f"1,2\n{'9' * 160},3\n",
+            ("--method", "greedy", "--verify"),
+            3,
+            "oracle budget exceeded: transfer search accepts monthly loads up to 60, "
+            "got 10000000000000000000… (161 digits)",
+        ),
+        (
+            f"1,2\n{'9' * 300},3\n",
+            ("--method", "exact"),
+            2,
+            "infeasible: the chain DP needs 10000000000000000000… (301 digits) states, past its limit of 2500000",
+        ),
+        (
+            f"1,2\n{'9' * 300},3\n",
+            ("--method", "bisection"),
+            2,
+            "infeasible: the chain DP needs 10000000000000000000… (301 digits) states, past its limit of 2500000",
+        ),
+        (
+            f"0,{'9' * 300}\n" * 3,
+            ("--method", "greedy"),
+            2,
+            "infeasible: the subset table needs 23999999999999999999… (302 digits) bits, past its limit of 268435456",
+        ),
+        (
+            f"1,2\n{'9' * 4300},3\n{'9' * 4300},3\n",
+            ("--method", "exact"),
+            2,
+            "infeasible: the chain DP needs 20000000000000000000… (4301 digits) states, past its limit of 2500000",
+        ),
+    ],
+    ids=["transfer-search", "chain-dp-exact", "chain-dp-bisection", "subset-table", "past-int-digit-limit"],
+)
+def test_refusal_shows_a_long_number_by_its_start(plan: str, flags: tuple, code: int, line: str, tmp_path: Path):
+    # a refused number past 20 digits shows its first 20 and its digit
+    # count, also when it has more digits than str() converts
+    path = tmp_path / "plan.csv"
+    path.write_text(plan)
+    cp = run_cli("--input", str(path), "--output-dir", str(tmp_path / "o"), *flags)
+    assert cp.returncode == code, cp.stderr
+    assert cp.stderr == f"repair-leveler: {line}\n"
+    assert len(cp.stderr) < 130
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_unwritable_output_dir(golden_csv: Path, tmp_path: Path):
     taken = tmp_path / "taken"
     taken.write_text("a file, not a directory\n")
@@ -474,7 +523,7 @@ def test_public_names_are_pinned():
         "Objective", "deviation", "SolverConfig", "SolveResult", "StandardFormQP", "ShiftedVariableForm",
         "solve_exact", "solve_bisection", "solve_greedy", "standard_form",
         "SelectionProblem", "RealizationResult", "subset_select", "realize_transfers",
-        "OracleBudget", "brute_force_transfers", "brute_force_shifts", "brute_force_subset",
+        "brute_force_transfers", "brute_force_shifts", "brute_force_subset",
         "parse_plan", "write_plan", "write_shift_matrix", "build_report", "render_report", "standard_form_to_dict",
         "LevelingError", "PlanError", "BudgetExceededError", "PlanParseError",
         "__version__",

@@ -23,6 +23,7 @@ from repair_leveler import (
     write_shift_matrix,
 )
 import repair_leveler.io as rl_io
+from repair_leveler.errors import _abridged
 from repair_leveler.io import (
     _is_header,
     _records,
@@ -215,6 +216,14 @@ def test_parse_echoes_a_bad_cell_of_twenty_characters_whole():
     with pytest.raises(PlanParseError) as exc:
         parse_plan(io.StringIO("1,2\n3," + "x" * 20 + "\n"))
     assert str(exc.value) == "row 2, column 2: 'xxxxxxxxxxxxxxxxxxxx' is not an integer"
+
+
+def test_abridged_number_counts_its_digits():
+    # 10**d - 1 is the largest number of d digits and 10**d the smallest of
+    # d + 1, where an estimate of the count from the bit length would slip
+    for d in [*range(1, 60), 4299, 4300, 4301, 131_072]:
+        assert _abridged(10**d - 1) == (str(10**d - 1) if d <= 20 else f"{'9' * 20}… ({d} digits)")
+        assert _abridged(10**d) == (str(10**d) if d < 20 else f"1{'0' * 19}… ({d + 1} digits)")
 
 
 @pytest.mark.parametrize("cell", ["7" * 200_000, "x" * 200_000], ids=["digits", "text"])

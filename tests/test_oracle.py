@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,18 +10,28 @@ from repair_leveler import (
     BudgetExceededError,
     MonthlyLoads,
     Objective,
-    OracleBudget,
     SelectionProblem,
+    TransferVector,
     apply_shift_matrix,
     apply_transfers,
     brute_force_shifts,
     brute_force_subset,
     brute_force_transfers,
     column_sums,
+    realize_transfers,
     subset_select,
     validate_transfers,
 )
-from helpers import GOLDEN_LOADS, SWEEP_LOAD_CAP, direct_deviation, pruned_brute_force_transfers, random_loads
+from repair_leveler import oracle
+from repair_leveler.cli import build_parser
+from helpers import (
+    GOLDEN_LOADS,
+    SWEEP_LOAD_CAP,
+    direct_deviation,
+    load_perfbench,
+    pruned_brute_force_transfers,
+    random_loads,
+)
 
 
 def test_transfer_oracle_golden():
@@ -67,15 +78,15 @@ def test_transfer_oracle_refuses_heavy_months():
     brute_force_transfers(MonthlyLoads((60, 0)), Objective.L1)
 
 
-def test_transfer_oracle_state_cap():
-    tiny = OracleBudget(max_states=10)
+def test_transfer_oracle_state_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_STATES", 10)
     with pytest.raises(BudgetExceededError):
-        brute_force_transfers(MonthlyLoads((50, 50, 50, 50)), Objective.L1, tiny)
+        brute_force_transfers(MonthlyLoads((50, 50, 50, 50)), Objective.L1)
 
 
-def _search(search, loads, objective, budget):
+def _search(search, *args):
     try:
-        return search(loads, objective, budget)
+        return search(*args)
     except BudgetExceededError as exc:
         return str(exc)
 
@@ -84,19 +95,21 @@ def _search(search, loads, objective, budget):
 @given(
     st.integers(2, 6).flatmap(lambda n: st.lists(st.integers(0, SWEEP_LOAD_CAP[n]), min_size=n, max_size=n)),
     st.sampled_from(Objective),
-    st.one_of(st.integers(1, 300), st.just(OracleBudget().max_states)),
+    st.one_of(st.integers(1, 300), st.just(oracle._MAX_STATES)),
 )
 def test_transfer_oracle_matches_pruned_reference(loads, objective, max_states):
-    # the whole SolveResult, visited_states included, or the same refusal
-    loads, budget = MonthlyLoads(tuple(loads)), OracleBudget(max_states=max_states)
-    assert _search(brute_force_transfers, loads, objective, budget) == _search(
-        pruned_brute_force_transfers, loads, objective, budget
-    )
+    # the whole SolveResult, visited_states included, or the same refusal;
+    # a function-scoped monkeypatch would not reset between examples
+    loads = MonthlyLoads(tuple(loads))
+    with mock.patch.object(oracle, "_MAX_STATES", max_states):
+        found = _search(brute_force_transfers, loads, objective)
+    limits = (max_states, oracle._MAX_MONTHS, oracle._MAX_MONTH_LOAD)
+    assert found == _search(pruned_brute_force_transfers, loads, objective, *limits)
 
 
-def test_transfer_oracle_custom_budget_widens_range():
-    wide = OracleBudget(max_month_load=80)
-    result = brute_force_transfers(MonthlyLoads((70, 0)), Objective.L1, wide)
+def test_transfer_oracle_custom_budget_widens_range(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_MONTH_LOAD", 80)
+    result = brute_force_transfers(MonthlyLoads((70, 0)), Objective.L1)
     assert result.transfers.x == (35,)
 
 
@@ -152,10 +165,10 @@ def test_shift_oracle_cell_cap():
         brute_force_shifts(AnnualPlan(((1,) * 7, (1,) * 7)), Objective.L1)
 
 
-def test_shift_oracle_state_cap():
-    tiny = OracleBudget(max_states=10)
+def test_shift_oracle_state_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_STATES", 10)
     with pytest.raises(BudgetExceededError, match="shift search passed 10 states"):
-        brute_force_shifts(AnnualPlan(((1, 2, 3), (4, 5, 6))), Objective.L1, tiny)
+        brute_force_shifts(AnnualPlan(((1, 2, 3), (4, 5, 6))), Objective.L1)
 
 
 def test_subset_oracle_examples():
@@ -171,11 +184,12 @@ def test_subset_oracle_item_cap():
     brute_force_subset(SelectionProblem((1,) * 20, 5))
 
 
-def test_subset_oracle_state_cap():
-    # 12 items are within max_items, but 2**12 subsets pass max_states
+def test_subset_oracle_state_cap(monkeypatch):
+    # 12 items are within _MAX_ITEMS, but 2**12 subsets pass _MAX_STATES
+    monkeypatch.setattr(oracle, "_MAX_STATES", 1000)
     with pytest.raises(BudgetExceededError, match="would pass 1000 states"):
-        brute_force_subset(SelectionProblem((1,) * 12, 5), OracleBudget(max_states=1000))
-    brute_force_subset(SelectionProblem((1,) * 9, 5), OracleBudget(max_states=1000))
+        brute_force_subset(SelectionProblem((1,) * 12, 5))
+    brute_force_subset(SelectionProblem((1,) * 9, 5))
 
 
 def test_subset_oracle_agrees_with_solver():
@@ -187,20 +201,37 @@ def test_subset_oracle_agrees_with_solver():
         assert brute_force_subset(problem) == subset_select(problem)
 
 
-def test_oracle_reports_nonzero_state_count():
+def test_oracle_reports_nonzero_state_count(monkeypatch):
     result = brute_force_transfers(GOLDEN_LOADS, Objective.L1)
     assert result.visited_states > 0
     # a looser state cap must not change the answer
-    roomy = OracleBudget(max_states=50_000_000)
-    again = brute_force_transfers(GOLDEN_LOADS, Objective.L1, roomy)
+    monkeypatch.setattr(oracle, "_MAX_STATES", 50_000_000)
+    again = brute_force_transfers(GOLDEN_LOADS, Objective.L1)
     assert again.transfers == result.transfers
     assert again.objective_value == result.objective_value
 
 
 def test_budget_fields_have_sane_defaults():
-    budget = OracleBudget()
-    assert budget.max_months == 6
-    assert budget.max_month_load == 60
-    assert budget.max_cells == 12
-    assert budget.max_items == 20
-    assert budget.max_states == 5_000_000
+    assert oracle._MAX_MONTHS == 6
+    assert oracle._MAX_MONTH_LOAD == 60
+    assert oracle._MAX_CELLS == 12
+    assert oracle._MAX_ITEMS == 20
+    assert oracle._MAX_STATES == 5_000_000
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_and_sweeps_stay_inside_the_limits(seed):
+    # every desk-verify plan runs with --verify, so one past a limit would
+    # exit 3 and fail its benchmark run
+    parser = build_parser()
+    for case in load_perfbench("workloads").generate("desk-verify", seed):
+        args = parser.parse_args(["--input", "plan.csv", *case.flags])
+        plan = AnnualPlan(case.rows)
+        assert plan.n <= oracle._MAX_MONTHS
+        if args.shifts_only:
+            pools = realize_transfers(plan, TransferVector(args.transfers)).pools
+            assert max(map(len, pools)) <= oracle._MAX_ITEMS
+        else:
+            assert max(column_sums(plan).loads) <= oracle._MAX_MONTH_LOAD
+    assert max(SWEEP_LOAD_CAP) <= oracle._MAX_MONTHS
+    assert max(SWEEP_LOAD_CAP.values()) <= oracle._MAX_MONTH_LOAD

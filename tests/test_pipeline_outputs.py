@@ -66,8 +66,8 @@ GOLDEN = ((10, 20, 30, 40), (5, 8, 6, 6), (21, 11, 3, 2), (14, 1, 5, 3))
 # pay any outflow, which the chain DP cuts from its domains
 DEAD = ((8, 0, 1, 5, 0, 2, 0, 2),)
 # bisection on a month count not divisible by four answers with the exact
-# solve and names the requested method; month loads stay inside the oracle
-# budget so --verify runs too
+# solve and names the requested method; month loads stay inside the oracle's
+# limits so --verify runs too
 SHORT = ((5, 0, 2), (3, 1, 0))
 SIX = ((3, 0, 5, 1, 0, 2), (4, 1, 2, 0, 0, 6))
 

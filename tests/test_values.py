@@ -1,7 +1,7 @@
 """The value types' contract: repr, equality, hashing, keyword
 construction, defaults, immutability and pickling.
 
-The eleven public value types are immutable and compared by value. The
+The ten public value types are immutable and compared by value. The
 figures pinned here are what the earlier frozen-dataclass versions gave,
 so a change in how the classes are built cannot change them unnoticed.
 """
@@ -18,7 +18,6 @@ from repair_leveler import (
     AnnualPlan,
     MonthlyLoads,
     Objective,
-    OracleBudget,
     PlanError,
     RealizationResult,
     SelectionProblem,
@@ -73,10 +72,6 @@ REPRS = [
         "RealizationResult(shift_matrix=ShiftMatrix(shifts=((1, 0, 0), (0, 0, 0))), achieved=(2, 0), "
         "residuals=(0, 0), adjusted_plan=AnnualPlan(entries=((0, 2, 1), (3, 1, 2))), pools=((2, 3), ()))",
     ),
-    (
-        OracleBudget(max_items=5),
-        "OracleBudget(max_states=5000000, max_months=6, max_month_load=60, max_cells=12, max_items=5)",
-    ),
 ]
 
 VALUES = [value for value, _ in REPRS]
@@ -97,7 +92,6 @@ FIELDS = {
     ),
     SelectionProblem: ("items", "capacity"),
     RealizationResult: ("shift_matrix", "achieved", "residuals", "adjusted_plan", "pools"),
-    OracleBudget: ("max_states", "max_months", "max_month_load", "max_cells", "max_items"),
 }
 
 
@@ -205,10 +199,10 @@ def test_bad_checked_calls_raise_type_error(args, named):
 def test_defaults():
     assert SolverConfig().objective is Objective.L1
     assert SolverConfig() == SolverConfig(Objective.L1) == SolverConfig(objective=Objective.L1)
-    budget = OracleBudget(max_items=5)
-    assert _fields(budget) == (5_000_000, 6, 60, 12, 5)
-    assert _fields(OracleBudget()) == (5_000_000, 6, 60, 12, 20)
-    assert OracleBudget(10, 3) == OracleBudget(max_states=10, max_months=3)
+    # positional and keyword fields mix on a checked type
+    problem = SelectionProblem((3, 1), capacity=2)
+    assert _fields(problem) == ((3, 1), 2)
+    assert problem == SelectionProblem((3, 1), 2) == SelectionProblem(items=(3, 1), capacity=2)
 
 
 def test_constructors_normalize_sequences_to_tuples():
