@@ -172,11 +172,16 @@ def write_shift_matrix(shifts: ShiftMatrix, path: str | Path) -> None:
     _write_matrix(shifts.shifts, shifts.n, path)
 
 
-def _decimal(key: str, value) -> float:
+def _put_number(doc: dict, key: str, value) -> None:
+    """Set doc[key] to value's exact text and doc[key + "_decimal"] to its
+    float. The float comes first: a value past a float's range is refused
+    before str() could meet one past int()'s digit limit."""
     try:
-        return float(value)
+        decimal = float(value)
     except OverflowError as exc:  # a plan whose hours run past a float's range
-        raise PlanError(f"report key {key}: the value is too large for a float") from exc
+        raise PlanError(f"report key {key}_decimal: the value is too large for a float") from exc
+    doc[key] = str(value)
+    doc[f"{key}_decimal"] = decimal
 
 
 def build_report(
@@ -196,18 +201,9 @@ def build_report(
     left residuals. Keys are in their fixed output order.
     """
     loads = column_sums(plan)
-    mean = mean_load(loads)
-    doc: dict = {
-        "input": {
-            "equipment": plan.k,
-            "months": plan.n,
-            "column_sums": list(loads.loads),
-            "total_hours": loads.total(),
-            "mean": str(mean),
-            "mean_decimal": _decimal("mean_decimal", mean),
-        },
-        "method": result.method,
-    }
+    inputs = {"equipment": plan.k, "months": plan.n, "column_sums": list(loads.loads), "total_hours": loads.total()}
+    _put_number(inputs, "mean", mean_load(loads))
+    doc: dict = {"input": inputs, "method": result.method}
     if requested_method is not None:
         doc["requested_method"] = requested_method
     doc["objective"] = objective.value
@@ -216,8 +212,7 @@ def build_report(
         ("objective_after", result.objective_value),
         ("objective_realized", deviation(column_sums(realization.adjusted_plan), objective)),
     ):
-        doc[key] = str(value)
-        doc[f"{key}_decimal"] = _decimal(f"{key}_decimal", value)
+        _put_number(doc, key, value)
     transfers = result.transfers.x
     doc["transfers"] = list(transfers)
     doc["boundaries"] = [

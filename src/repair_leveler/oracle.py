@@ -3,12 +3,15 @@
 Each search enumerates its whole space with the same tie-breaking as the
 production path, so full outputs can be compared, not just objective
 values. Instances past the _MAX_* limits below raise BudgetExceededError
-outright; a silently truncated reference would be worse than none.
+outright; a silently truncated reference would be worse than none. The
+transfer search answers its last boundary once per inflow pool and
+reuses that answer; it still visits and counts every node.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import BudgetExceededError, _abridged
 from .plan import AnnualPlan, MonthlyLoads, ShiftMatrix, TransferVector, column_sums
@@ -42,11 +45,14 @@ def brute_force_transfers(loads: MonthlyLoads, objective: Objective) -> SolveRes
     result, is the lexicographically smallest. Per-month costs are
     non-negative, so a prefix that already reaches the incumbent cost is
     discarded; that cannot skip a strictly better or lex-smaller optimum.
-    At the last boundary every flow's total is listed and the first
-    smallest one is taken, which is the same rule. Each boundary's whole
-    flow range counts toward visited_states, and _MAX_STATES is checked
-    once per range: the search passes it exactly when the one-at-a-time
-    count does.
+    At the last boundary the best flow depends only on the pool, the
+    hours in month n-2 after its inflow, not on the prefix that led
+    there: the least cost of months n-2 and n-1 and its first, hence
+    smallest, flow are found once per distinct pool and kept for the rest
+    of the call, which is the same rule. Each boundary's whole flow range
+    counts toward visited_states on every visit, the last one's included,
+    and _MAX_STATES is checked once per range: the search passes it
+    exactly when the one-at-a-time count does.
     """
     L = loads.loads
     n = len(L)
@@ -61,11 +67,12 @@ def brute_force_transfers(loads: MonthlyLoads, objective: Objective) -> SolveRes
     # a month keeps at most its own load plus both neighbours'
     C = [cost(v) for v in range(3 * top_load + 1)]
     B = n - 1
-    end = L[n - 1]
     best_cost = None
     best_x: tuple[int, ...] | None = None
     xs = [0] * B
     state = 0
+    # pool -> (least C[pool - x] + C[L[n - 1] + x] at the last boundary, its first x)
+    last: dict[int, tuple[int, int]] = {}
 
     def walk(b: int, pool: int, run: int) -> None:
         # pool: hours in month b after the inflow; run: cost of months < b
@@ -76,10 +83,15 @@ def brute_force_transfers(loads: MonthlyLoads, objective: Objective) -> SolveRes
         if state > _MAX_STATES:
             raise BudgetExceededError(f"transfer search passed {_MAX_STATES} states")
         if b == B - 1:
-            totals = [run + C[pool - x] + C[end + x] for x in range(lo, hi + 1)]
-            final = min(totals)
+            answer = last.get(pool)
+            if answer is None:
+                # C[pool - x] and C[L[n - 1] + x] for x = lo..hi, as lo == -L[n - 1]
+                totals = list(map(add, C[pool - hi : pool - lo + 1][::-1], C[: hi - lo + 1]))
+                least = min(totals)
+                answer = last[pool] = (least, lo + totals.index(least))
+            final = run + answer[0]
             if best_cost is None or final < best_cost:
-                xs[b] = lo + totals.index(final)
+                xs[b] = answer[1]
                 best_cost = final
                 best_x = tuple(xs)
             return

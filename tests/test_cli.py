@@ -266,8 +266,11 @@ def test_exit_parse_error_on_oversized_cell(cell: str, where: str, tmp_path: Pat
     [
         (f"1,2\n{'9' * 160},3\n", ("--method", "greedy", "--objective", "quadratic"), "objective_before_decimal"),
         (f"1,2\n{'9' * 400},3\n", ("--shifts-only", "--transfers=0"), "mean_decimal"),
+        # column sums past int()'s 4300-digit limit: refused before str() meets them
+        (f"1,2\n{'9' * 4300},3\n{'9' * 4300},3\n", ("--method", "greedy"), "mean_decimal"),
+        (f"1,2\n{'9' * 4300},3\n{'9' * 4300},3\n", ("--shifts-only", "--transfers=0"), "mean_decimal"),
     ],
-    ids=["greedy-quadratic", "shifts-only"],
+    ids=["greedy-quadratic", "shifts-only", "past-int-digit-limit-greedy", "past-int-digit-limit-shifts-only"],
 )
 def test_exit_on_report_value_past_float_range(plan: str, flags: tuple, key: str, tmp_path: Path):
     path = tmp_path / "plan.csv"

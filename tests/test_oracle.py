@@ -107,6 +107,29 @@ def test_transfer_oracle_matches_pruned_reference(loads, objective, max_states):
     assert found == _search(pruned_brute_force_transfers, loads, objective, *limits)
 
 
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize(
+    "loads, x",
+    [
+        # pool 0 at the last boundary is answered under the first prefix
+        # (0, 0) and reused after (-1, 0) has lowered the incumbent
+        ((0, 2, 0, 4), (-1, 0, -2)),
+        # n = 2: the first boundary is also the last, answered once
+        ((8, 2), (3,)),
+        ((0, 6), (-3,)),
+        # the winning pool 0 totals the same at flows -2 and -1
+        ((0, 1, 3), (-1, -2)),
+    ],
+    ids=["pool-reused-after-improvement", "two-months-outflow", "two-months-inflow", "last-boundary-tie"],
+)
+def test_transfer_oracle_last_boundary_cases(loads, x, objective):
+    loads = MonthlyLoads(loads)
+    result = brute_force_transfers(loads, objective)
+    assert result.transfers.x == x
+    limits = (oracle._MAX_STATES, oracle._MAX_MONTHS, oracle._MAX_MONTH_LOAD)
+    assert result == pruned_brute_force_transfers(loads, objective, *limits)
+
+
 def test_transfer_oracle_custom_budget_widens_range(monkeypatch):
     monkeypatch.setattr(oracle, "_MAX_MONTH_LOAD", 80)
     result = brute_force_transfers(MonthlyLoads((70, 0)), Objective.L1)

@@ -643,6 +643,21 @@ def test_benchmark_solver_work_is_pinned(name):
     assert total == _WORKLOAD_WORK[name]
 
 
+def test_benchmark_oracle_work_is_pinned():
+    # brute_force_transfers' visited_states summed over desk-verify's seed-1
+    # plans that --verify checks by the transfer search, all but the
+    # shifts-only ones: it moves when the search visits other nodes
+    parser = build_parser()
+    checked = total = 0
+    for case in workloads.generate("desk-verify", 1):
+        args = parser.parse_args(["--input", "plan.csv", *case.flags])
+        if not args.shifts_only:
+            loads = column_sums(AnnualPlan(case.rows))
+            total += brute_force_transfers(loads, Objective(args.objective)).visited_states
+            checked += 1
+    assert (checked, total) == (750, 1_448_379)
+
+
 def test_chain_cases_include_dead_states():
     def has_dead_states(case):
         try:
