@@ -10,10 +10,11 @@ import argparse
 import sys
 from pathlib import Path
 
+from . import errors  # _abridged by the module: the benchmark's tracer wraps each function cli binds, and errors is no layer
 from .errors import BudgetExceededError, LevelingError, PlanError, PlanParseError
-from .io import _INTEGER, build_report, parse_plan, render_report, write_plan, write_shift_matrix
+from .io import _INTEGER, _put_number, build_report, parse_plan, render_report, write_plan, write_shift_matrix
 from .oracle import brute_force_subset, brute_force_transfers
-from .plan import TransferVector, apply_transfers, column_sums, mean_load
+from .plan import TransferVector, apply_transfers, column_sums
 from .realization import RealizationResult, SelectionProblem, realize_transfers
 from .solvers import Objective, SolveResult, SolverConfig, deviation, solve_bisection, solve_exact, solve_greedy
 
@@ -30,19 +31,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _flag_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise argparse.ArgumentTypeError(f"a {len(text)}-character integer is too long") from None
+
+
 def _transfer_list(text: str) -> tuple[int, ...]:
     parts = [part.strip() for part in text.split(",")]
     # the plan cells' rule: ASCII digits with an optional leading "-"
     if not all(_INTEGER.fullmatch(part) for part in parts):
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    return tuple(int(part) for part in parts)
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {errors._abridged(text)}")
+    return tuple(map(_flag_int, parts))
 
 
 def _month_count(text: str) -> int:
     value = text.strip()
     # the plan cells' rule again, and no plan has fewer than two months
-    if not _INTEGER.fullmatch(value) or int(value) < 2:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {text!r}")
+    if not _INTEGER.fullmatch(value) or _flag_int(value) < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {errors._abridged(text)}")
     return int(value)
 
 
@@ -95,15 +103,12 @@ def _oracle_transfer_block(loads, objective: Objective, result: SolveResult) -> 
     gap = result.objective_value - reference.objective_value
     # equal vectors on the same loads give equal objectives
     match = result.transfers == reference.transfers if result.optimal else gap >= 0
-    return {
-        "mode": "transfer-search",
-        "objective": str(reference.objective_value),
-        "objective_decimal": float(reference.objective_value),
-        "transfers": list(reference.transfers.x),
-        "gap": str(gap),
-        "gap_decimal": float(gap),
-        "match": match,
-    }
+    block = {"mode": "transfer-search"}
+    _put_number(block, "objective", reference.objective_value)
+    block["transfers"] = list(reference.transfers.x)
+    _put_number(block, "gap", gap)
+    block["match"] = match
+    return block
 
 
 def _oracle_subset_block(transfers: TransferVector, realization: RealizationResult) -> dict:
@@ -125,7 +130,7 @@ def _oracle_subset_block(transfers: TransferVector, realization: RealizationResu
 def _run(args) -> int:
     plan = parse_plan(args.input)
     if args.months is not None and plan.n != args.months:
-        raise PlanError(f"plan has {plan.n} months, --months asked for {args.months}")
+        raise PlanError(f"plan has {plan.n} months, --months asked for {errors._abridged(args.months)}")
     loads = column_sums(plan)
     objective = Objective(args.objective)
 
@@ -161,7 +166,7 @@ def _run(args) -> int:
         print(f"repair-leveler: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    print(f"plan: {plan.k} items x {plan.n} months, {loads.total()} hours, mean {mean_load(loads)}")
+    print("plan: {equipment} items x {months} months, {total_hours} hours, mean {mean}".format_map(report["input"]))
     print(
         f"method {result.method}, objective {objective.value}: "
         f"before {report['objective_before']}, after {report['objective_after']}, "

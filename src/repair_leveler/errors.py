@@ -41,18 +41,27 @@ class PlanParseError(LevelingError):
         self.column = column
 
 
-def _abridged(value: str | int) -> str:
-    """A cell's repr or a non-negative integer's digits, for a message: whole
-    up to 20 characters or digits, past that its first 20 and its length.
+def _abridged(value: object) -> str:
+    """A value for a message, whole when short: a string's repr, whole up to
+    20 characters, past that its first 20 and its length; an integer's sign
+    and digits, whole up to 20 digits, past that its first 20 and its digit
+    count; any other value's repr, cut the same way after 20 characters.
     An integer is cut by arithmetic, not by str(), so one past int()'s
     digit limit shows too."""
     if isinstance(value, str):
         return repr(value) if len(value) <= 20 else f"{value[:20]!r}… ({len(value)} characters)"
-    if value < 10**20:
-        return str(value)
-    digits = value.bit_length() * 3 // 10  # at most the digit count, as log10(2) > 0.3
-    power = 10**digits
-    while power <= value:
-        digits += 1
-        power *= 10
-    return f"{value // 10 ** (digits - 20)}… ({digits} digits)"
+    if isinstance(value, int):
+        size = abs(value)
+        if size < 10**20:
+            return repr(value)
+        digits = size.bit_length() * 3 // 10  # at most the digit count, as log10(2) > 0.3
+        power = 10**digits
+        while power <= size:
+            digits += 1
+            power *= 10
+        return f"{'-' if value < 0 else ''}{size // 10 ** (digits - 20)}… ({digits} digits)"
+    try:
+        text = repr(value)
+    except ValueError:  # a container or ratio that holds an int past int()'s digit limit
+        text = f"<{type(value).__qualname__}>"
+    return text if len(text) <= 20 else f"{text[:20]}… ({len(text)} characters)"

@@ -110,7 +110,7 @@ def _walk(records: list[list[str]]) -> AnnualPlan:
             except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
                 raise _bad_cell(lineno, col, f"a {len(cell)}-character integer is too long") from exc
             if value < 0:
-                raise _bad_cell(lineno, col, f"hours cannot be negative ({value})")
+                raise _bad_cell(lineno, col, f"hours cannot be negative ({_abridged(value)})")
             parsed.append(value)
         entries.append(tuple(parsed))
     if width < 2:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from .errors import PlanError
+from .errors import PlanError, _abridged
 
 __all__ = [
     "AnnualPlan",
@@ -147,7 +147,7 @@ class AnnualPlan(_Frozen):
         bad = _first_bad_int(chain.from_iterable(rows), lo=0)
         if bad is not None:
             i, j = divmod(bad, len(rows[0]))
-            raise PlanError(f"cell ({i + 1},{j + 1}) must be a non-negative integer, got {rows[i][j]!r}")
+            raise PlanError(f"cell ({i + 1},{j + 1}) must be a non-negative integer, got {_abridged(rows[i][j])}")
         super().__init__(rows)
 
     @property
@@ -173,7 +173,7 @@ class MonthlyLoads(_Frozen):
             raise PlanError("monthly loads need at least two months")
         bad = _first_bad_int(loads, lo=0)
         if bad is not None:
-            raise PlanError(f"month {bad + 1} load must be a non-negative integer, got {loads[bad]!r}")
+            raise PlanError(f"month {bad + 1} load must be a non-negative integer, got {_abridged(loads[bad])}")
         super().__init__(loads)
 
     @property
@@ -195,7 +195,7 @@ class TransferVector(_Frozen):
             raise PlanError("a transfer vector needs at least one boundary")
         bad = _first_bad_int(xs)
         if bad is not None:
-            raise PlanError(f"boundary {bad + 1} transfer must be an integer, got {xs[bad]!r}")
+            raise PlanError(f"boundary {bad + 1} transfer must be an integer, got {_abridged(xs[bad])}")
         super().__init__(xs)
 
 
@@ -209,7 +209,7 @@ class ShiftMatrix(_Frozen):
         bad = _first_bad_int(chain.from_iterable(rows), lo=-1, hi=1)
         if bad is not None:
             i, j = divmod(bad, len(rows[0]))
-            raise PlanError(f"cell ({i + 1},{j + 1}) must be -1, 0 or +1, got {rows[i][j]!r}")
+            raise PlanError(f"cell ({i + 1},{j + 1}) must be -1, 0 or +1, got {_abridged(rows[i][j])}")
         for i, row in enumerate(rows):
             if row[0] == -1:
                 raise PlanError(f"row {i + 1} moves work backward out of the first month")
@@ -261,12 +261,16 @@ def validate_transfers(loads: MonthlyLoads, transfers: TransferVector) -> None:
         raise PlanError(f"expected {len(L) - 1} transfers for {len(L)} months, got {len(xs)}")
     for b, x in enumerate(xs):
         if x > L[b]:
-            raise PlanError(f"boundary {b + 1}: forward transfer {x} exceeds month {b + 1} hours {L[b]}")
+            raise PlanError(
+                f"boundary {b + 1}: forward transfer {_abridged(x)} exceeds month {b + 1} hours {_abridged(L[b])}"
+            )
         if x < -L[b + 1]:
-            raise PlanError(f"boundary {b + 1}: backward transfer {x} exceeds month {b + 2} hours {L[b + 1]}")
+            raise PlanError(
+                f"boundary {b + 1}: backward transfer {_abridged(x)} exceeds month {b + 2} hours {_abridged(L[b + 1])}"
+            )
     for j, adjusted in enumerate(_adjusted(L, xs)):
         if adjusted < 0:
-            raise PlanError(f"month {j + 1} would hold {adjusted} hours")
+            raise PlanError(f"month {j + 1} would hold {_abridged(adjusted)} hours")
 
 
 def apply_transfers(loads: MonthlyLoads, transfers: TransferVector) -> MonthlyLoads:

@@ -62,9 +62,9 @@ class SelectionProblem(_Frozen):
         items = tuple(items)
         bad = _first_bad_int(items, lo=1)
         if bad is not None:
-            raise PlanError(f"item {bad + 1} must be a positive integer, got {items[bad]!r}")
+            raise PlanError(f"item {bad + 1} must be a positive integer, got {_abridged(items[bad])}")
         if _first_bad_int((capacity,), lo=0) is not None:
-            raise PlanError(f"capacity must be a non-negative integer, got {capacity!r}")
+            raise PlanError(f"capacity must be a non-negative integer, got {_abridged(capacity)}")
         super().__init__(items, capacity)
 
 

@@ -58,7 +58,7 @@ class SolverConfig(_Frozen):
 
     def __init__(self, objective: Objective = Objective.L1):
         if not isinstance(objective, Objective):
-            raise PlanError(f"unknown objective {objective!r}")
+            raise PlanError(f"unknown objective {_abridged(objective)}")
         super().__init__(objective)
 
 
@@ -90,7 +90,7 @@ def _scaled_month_cost(objective: Objective, n: int, total: int):
         return cost, n
 
     if objective is not Objective.QUADRATIC:
-        raise PlanError(f"unknown objective {objective!r}")
+        raise PlanError(f"unknown objective {_abridged(objective)}")
 
     def cost(load: int) -> int:
         d = n * load - total

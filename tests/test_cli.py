@@ -331,6 +331,37 @@ def test_refusal_shows_a_long_number_by_its_start(plan: str, flags: tuple, code:
     assert not (tmp_path / "o").exists()
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_needs_digit_limit = pytest.mark.skipif(not 0 < _DIGIT_LIMIT < 5000, reason="this interpreter reads a 5000-digit integer")
+
+
+@pytest.mark.parametrize(
+    "plan, flags, code, value",
+    [
+        pytest.param("1,2\n3,4\n", ("--shifts-only", "--transfers=" + "9" * 5000), 4, "9" * 5000,
+                     marks=_needs_digit_limit, id="transfers-past-digit-limit"),
+        pytest.param("1,2\n3,4\n", ("--months", "9" * 5000), 4, "9" * 5000,
+                     marks=_needs_digit_limit, id="months-past-digit-limit"),
+        pytest.param("1,2\n3,4\n", ("--shifts-only", "--transfers=" + "x" * 300), 4, "x" * 300, id="transfers-text"),
+        pytest.param("1,2\n3,4\n", ("--shifts-only", "--transfers=" + "9" * 4000), 2, "9" * 4000,
+                     id="transfers-past-donor"),
+        pytest.param(f"1,2\n3,-{'9' * 4000}\n", (), 1, "9" * 4000, id="negative-cell"),
+        pytest.param(GOLDEN_CSV, ("--months", "9" * 30), 2, "9" * 30, id="months-mismatch"),
+    ],
+)
+def test_refusal_of_a_long_value_is_one_short_line(plan: str, flags: tuple, code: int, value: str, tmp_path: Path):
+    # the value is abridged, and argparse never names a converter function
+    path = tmp_path / "plan.csv"
+    path.write_text(plan)
+    cp = run_cli("--input", str(path), "--output-dir", str(tmp_path / "o"), *flags)
+    assert cp.returncode == code, cp.stderr
+    assert cp.stderr.startswith("repair-leveler: ") and cp.stderr.count("\n") == 1
+    assert len(cp.stderr.encode()) < 200
+    assert value not in cp.stderr
+    assert " _" not in cp.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_unwritable_output_dir(golden_csv: Path, tmp_path: Path):
     taken = tmp_path / "taken"
     taken.write_text("a file, not a directory\n")

@@ -3,6 +3,7 @@ import enum
 import io
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,13 +13,19 @@ from repair_leveler import (
     AnnualPlan,
     MonthlyLoads,
     Objective,
+    PlanError,
     PlanParseError,
+    SelectionProblem,
     ShiftMatrix,
+    SolverConfig,
+    TransferVector,
     column_sums,
+    deviation,
     parse_plan,
     realize_transfers,
     solve_exact,
     standard_form,
+    validate_transfers,
     write_plan,
     write_shift_matrix,
 )
@@ -224,6 +231,38 @@ def test_abridged_number_counts_its_digits():
     for d in [*range(1, 60), 4299, 4300, 4301, 131_072]:
         assert _abridged(10**d - 1) == (str(10**d - 1) if d <= 20 else f"{'9' * 20}… ({d} digits)")
         assert _abridged(10**d) == (str(10**d) if d < 20 else f"1{'0' * 19}… ({d + 1} digits)")
+
+
+def test_abridged_negative_numbers_and_other_values():
+    # a sign before the digit rule; any other value's repr, cut after 20 characters
+    assert _abridged(-(10**20 - 1)) == "-" + "9" * 20
+    assert _abridged(-(10**20)) == f"-1{'0' * 19}… (21 digits)"
+    assert _abridged(-(10**5000)) == f"-1{'0' * 19}… (5001 digits)"
+    assert [_abridged(v) for v in (True, 1.5, None, Fraction(-1))] == ["True", "1.5", "None", "Fraction(-1, 1)"]
+    assert _abridged(list(range(10))) == "[0, 1, 2, 3, 4, 5, 6… (30 characters)"
+    # a repr that would meet int()'s digit limit names the type instead
+    assert _abridged(Fraction(10**5000)) == "<Fraction>"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: MonthlyLoads((-(10**5000), 1)),
+        lambda: AnnualPlan(((-(10**5000), 1),)),
+        lambda: ShiftMatrix(((10**5000, 0),)),
+        lambda: SelectionProblem((1,), -(10**5000)),
+        lambda: SolverConfig(10**5000),
+        lambda: deviation(MonthlyLoads((1, 2)), 10**5000),
+        lambda: validate_transfers(MonthlyLoads((1, 2)), TransferVector((10**5000,))),
+    ],
+    ids=["loads", "plan", "shift-matrix", "capacity", "solver-config", "deviation", "validate-transfers"],
+)
+def test_refusal_of_a_huge_value_is_a_short_plan_error(call):
+    # str() of a 5001-digit int passes int()'s digit limit: the message abridges it
+    with pytest.raises(PlanError) as exc:
+        call()
+    assert "(5001 digits)" in str(exc.value)
+    assert len(str(exc.value)) < 120
 
 
 @pytest.mark.parametrize("cell", ["7" * 200_000, "x" * 200_000], ids=["digits", "text"])
