@@ -49,9 +49,9 @@ def _transfer_list(text: str) -> tuple[int, ...]:
 def _month_count(text: str) -> int:
     value = text.strip()
     # the plan cells' rule again, and no plan has fewer than two months
-    if not _INTEGER.fullmatch(value) or _flag_int(value) < 2:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {errors._abridged(text)}")
-    return int(value)
+    if _INTEGER.fullmatch(value) and (count := _flag_int(value)) >= 2:
+        return count
+    raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {errors._abridged(text)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,16 +115,14 @@ def _oracle_subset_block(transfers: TransferVector, realization: RealizationResu
     """Check each boundary's achieved hours against the exhaustive subset
     scan over the donor pool realization chose from."""
     entries = []
-    all_match = True
     for b, (x, items) in enumerate(zip(transfers.x, realization.pools)):
         if x == 0:
             continue
         reference = brute_force_subset(SelectionProblem(items, abs(x)))
         best = sum(items[c] for c in reference)
         ok = best == realization.achieved[b]
-        all_match = all_match and ok
         entries.append({"boundary": b + 1, "best_achievable": best, "achieved": realization.achieved[b], "match": ok})
-    return {"mode": "subset-selection", "boundaries": entries, "match": all_match}
+    return {"mode": "subset-selection", "boundaries": entries, "match": all(entry["match"] for entry in entries)}
 
 
 def _run(args) -> int:

@@ -294,17 +294,10 @@ def apply_shift_matrix(plan: AnnualPlan, shifts: ShiftMatrix) -> AnnualPlan:
     """
     if shifts.k != plan.k or shifts.n != plan.n:
         raise PlanError(f"shift matrix is {shifts.k}x{shifts.n}, plan is {plan.k}x{plan.n}")
-    adjusted = []
+    adjusted = [[0] * plan.n for _ in range(plan.k)]
     for i, (prow, srow) in enumerate(zip(plan.entries, shifts.shifts)):
-        if any(srow):  # a row with no mark is copied as it is
-            row = list(prow)
-            for j, s in enumerate(srow):
-                if s:
-                    hours = prow[j]
-                    if hours == 0:
-                        raise PlanError(f"cell ({i + 1},{j + 1}) is empty but marked to move")
-                    row[j] -= hours
-                    row[j + s] += hours
-            prow = tuple(row)
-        adjusted.append(prow)
-    return AnnualPlan(tuple(adjusted))
+        for j, (hours, s) in enumerate(zip(prow, srow)):
+            if s != 0 and hours == 0:
+                raise PlanError(f"cell ({i + 1},{j + 1}) is empty but marked to move")
+            adjusted[i][j + s] += hours
+    return AnnualPlan(tuple(tuple(row) for row in adjusted))

@@ -25,6 +25,7 @@ from repair_leveler import (
     SolveResult,
     SolverConfig,
     TransferVector,
+    apply_shift_matrix,
     apply_transfers,
     column_sums,
     deviation,
@@ -443,7 +444,7 @@ def reach_subset_select(problem: SelectionProblem) -> tuple[int, ...]:
 def scan_realize_transfers(plan: AnnualPlan, transfers: TransferVector) -> RealizationResult:
     """Reference for realization.realize_transfers: each boundary scans
     every row of the plan and a k x n mark table for its donor pool, and
-    the adjusted plan comes from cell_apply_shift_matrix."""
+    the adjusted plan comes from plan.apply_shift_matrix."""
     loads = column_sums(plan)
     validate_transfers(loads, transfers)
     k, n = plan.k, plan.n
@@ -474,23 +475,9 @@ def scan_realize_transfers(plan: AnnualPlan, transfers: TransferVector) -> Reali
         shift_matrix=shift,
         achieved=tuple(achieved),
         residuals=tuple(residuals),
-        adjusted_plan=cell_apply_shift_matrix(plan, shift),
+        adjusted_plan=apply_shift_matrix(plan, shift),
         pools=tuple(pools),
     )
-
-
-def cell_apply_shift_matrix(plan: AnnualPlan, shifts: ShiftMatrix) -> AnnualPlan:
-    """Reference for plan.apply_shift_matrix: every cell of every row adds
-    its hours to the month its mark points at."""
-    if shifts.k != plan.k or shifts.n != plan.n:
-        raise PlanError(f"shift matrix is {shifts.k}x{shifts.n}, plan is {plan.k}x{plan.n}")
-    adjusted = [[0] * plan.n for _ in range(plan.k)]
-    for i, (prow, srow) in enumerate(zip(plan.entries, shifts.shifts)):
-        for j, (hours, s) in enumerate(zip(prow, srow)):
-            if s != 0 and hours == 0:
-                raise PlanError(f"cell ({i + 1},{j + 1}) is empty but marked to move")
-            adjusted[i][j + s] += hours
-    return AnnualPlan(tuple(tuple(row) for row in adjusted))
 
 
 def pruned_brute_force_transfers(

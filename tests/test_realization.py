@@ -23,7 +23,6 @@ from repair_leveler import (
 from repair_leveler import realization
 from helpers import (
     GOLDEN_PLAN,
-    cell_apply_shift_matrix,
     dict_subset_select,
     random_feasible_transfers,
     random_plan,
@@ -310,31 +309,6 @@ def test_realize_matches_scan_reference(case):
     real = realize_transfers(plan, transfers)
     # the whole result: shift matrix, achieved, residuals, adjusted plan, pools
     assert real == scan_realize_transfers(plan, transfers)
-    assert apply_shift_matrix(plan, real.shift_matrix) == cell_apply_shift_matrix(plan, real.shift_matrix)
-
-
-def _outcome(apply, plan, shifts):
-    try:
-        return apply(plan, shifts)
-    except PlanError as exc:
-        return str(exc)
-
-
-def _legal_mark(rng, j, n):
-    return rng.choice((1,) if j == 0 else (-1,) if j == n - 1 else (-1, 1))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.randoms(use_true_random=False), st.integers(1, 12), st.integers(2, 8))
-def test_apply_shift_matrix_matches_cell_reference(rng, k, n):
-    plan = random_plan(rng, k, n, rng.choice((1, 3)))
-    # most marks sit on cells with hours, a few on empty cells, so the
-    # error path is compared too; rows with no mark are common
-    shifts = ShiftMatrix(tuple(
-        tuple(_legal_mark(rng, j, n) if rng.random() < (0.3 if hours else 0.01) else 0 for j, hours in enumerate(row))
-        for row in plan.entries
-    ))
-    assert _outcome(apply_shift_matrix, plan, shifts) == _outcome(cell_apply_shift_matrix, plan, shifts)
 
 
 @settings(max_examples=100, deadline=None)
