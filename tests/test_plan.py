@@ -348,21 +348,27 @@ def test_apply_shift_matrix_moves_whole_cells():
     assert apply_shift_matrix(AnnualPlan(((5, 0),)), ShiftMatrix(((1, 0),))).entries == ((0, 5),)
 
 
-@pytest.mark.parametrize("plan", [GOLDEN_PLAN, AnnualPlan(((0, 0, 0), (5, 0, 7), (0, 3, 0)))])
-def test_apply_shift_matrix_identity(plan):
+def test_apply_shift_matrix_identity():
+    zero = ShiftMatrix(tuple((0,) * GOLDEN_PLAN.n for _ in range(GOLDEN_PLAN.k)))
+    assert apply_shift_matrix(GOLDEN_PLAN, zero).entries == GOLDEN_PLAN.entries
+
+
+def test_apply_shift_matrix_identity_keeps_empty_cells():
     # a matrix with no mark gives the plan back, empty rows and cells too
+    plan = AnnualPlan(((0, 0, 0), (5, 0, 7), (0, 3, 0)))
     zero = ShiftMatrix(tuple((0,) * plan.n for _ in range(plan.k)))
     assert apply_shift_matrix(plan, zero).entries == plan.entries
 
 
-@pytest.mark.parametrize("entries, shifts, cell", [
-    (((0, 5),), ((1, 0),), "1,1"),
+def test_apply_shift_matrix_rejects_empty_cell_move():
+    with pytest.raises(PlanError, match=r"^cell \(1,1\) is empty but marked to move$"):
+        apply_shift_matrix(AnnualPlan(((0, 5),)), ShiftMatrix(((1, 0),)))
+
+
+def test_apply_shift_matrix_rejects_empty_cell_move_after_legal_row():
     # row 1's marks are all legal; the refusal names the first empty marked cell of row 2
-    (((3, 0, 2), (4, 0, 1)), ((1, 0, -1), (0, -1, 0)), "2,2"),
-])
-def test_apply_shift_matrix_rejects_empty_cell_move(entries, shifts, cell):
-    with pytest.raises(PlanError, match=rf"^cell \({cell}\) is empty but marked to move$"):
-        apply_shift_matrix(AnnualPlan(entries), ShiftMatrix(shifts))
+    with pytest.raises(PlanError, match=r"^cell \(2,2\) is empty but marked to move$"):
+        apply_shift_matrix(AnnualPlan(((3, 0, 2), (4, 0, 1))), ShiftMatrix(((1, 0, -1), (0, -1, 0))))
 
 
 def test_apply_shift_matrix_shape_mismatch():
