@@ -16,7 +16,7 @@ from operator import add
 from .errors import BudgetExceededError, _abridged
 from .plan import AnnualPlan, MonthlyLoads, ShiftMatrix, TransferVector, column_sums
 from .realization import SelectionProblem
-from .solvers import Objective, SolveResult, _scaled_month_cost
+from .solvers import Objective, SolveResult, _month_cost_table, _scaled_month_cost
 
 __all__ = [
     "brute_force_transfers",
@@ -63,9 +63,9 @@ def brute_force_transfers(loads: MonthlyLoads, objective: Objective) -> SolveRes
         raise BudgetExceededError(
             f"transfer search accepts monthly loads up to {_MAX_MONTH_LOAD}, got {_abridged(top_load)}"
         )
-    cost, scale = _scaled_month_cost(objective, n, sum(L))
+    _, scale = _scaled_month_cost(objective, n, sum(L))
     # a month keeps at most its own load plus both neighbours'
-    C = [cost(v) for v in range(3 * top_load + 1)]
+    C = _month_cost_table(objective, n, sum(L), 3 * top_load)
     B = n - 1
     best_cost = None
     best_x: tuple[int, ...] | None = None

@@ -74,17 +74,19 @@ class _Frozen:
     """Base of the immutable value types.
 
     A subclass lists its fields in `__slots__`, in order. `__init__`
-    binds them by position or keyword and is the only place that stores
-    them: a plain record has no other constructor, and a checked type's
-    ends with `super().__init__(...)`. A missing, extra, unknown or
-    repeated field raises a TypeError that names the fields. Values of
-    one class compare, hash and print by their field tuple. `__reduce__`
-    hands pickle and copy that tuple, so a rebuilt value goes through its
+    binds them by position or keyword and stores them: a plain record
+    has no other constructor, and a checked type's ends with
+    `super().__init__(...)`. A missing, extra, unknown or repeated field
+    raises a TypeError that names the fields. Values of one class
+    compare, hash and print by their field tuple. `__reduce__` hands
+    pickle and copy that tuple, so a rebuilt value goes through its
     class's checks again.
 
-    `_trusted(*fields)` stores the fields without the class's checks.
-    Call it only with fields in their stored form (tuples, not lists)
-    that the checks would accept unchanged, because they were built from
+    `_trusted(*fields)` stores the fields by position itself, without
+    `__init__` and the class's checks. It checks only their count: a
+    missing or extra field raises the same TypeError as `__init__`. Call
+    it only with fields in their stored form (tuples, not lists) that
+    the checks would accept unchanged, because they were built from
     checked values by steps that keep every rule: a plan's cells moved
     within their row, a pool of its non-empty cells. A value that comes
     from outside the package goes through the checks, but for file input:
@@ -102,15 +104,23 @@ class _Frozen:
         if named:
             fields += tuple([named.pop(name) for name in names[len(fields) :] if name in named])
         if named or len(fields) != len(names):
-            raise TypeError(f"{self.__class__.__qualname__} takes the fields ({', '.join(names)})")
+            raise self._fields_error()
         for name, value in zip(names, fields):
             object.__setattr__(self, name, value)
 
     @classmethod
     def _trusted(cls, *fields):
+        names = cls.__slots__
+        if len(fields) != len(names):
+            raise cls._fields_error()
         self = object.__new__(cls)
-        _Frozen.__init__(self, *fields)
+        for name, value in zip(names, fields):
+            object.__setattr__(self, name, value)
         return self
+
+    @classmethod
+    def _fields_error(cls) -> TypeError:
+        return TypeError(f"{cls.__qualname__} takes the fields ({', '.join(cls.__slots__)})")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

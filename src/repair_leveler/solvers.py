@@ -16,7 +16,8 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from operator import sub
+from functools import partial
+from operator import mul, sub
 
 from .errors import PlanError, _abridged
 from .plan import MonthlyLoads, TransferVector, _Frozen, apply_transfers, validate_transfers
@@ -74,8 +75,11 @@ class SolveResult(_Frozen):
 
 
 def _scaled_month_cost(objective: Objective, n: int, total: int):
-    """Per-month cost as a plain integer: the only definition of the
+    """Per-month cost as a plain integer: the definition of the
     objective, shared by deviation, every solver and the oracles.
+    _month_cost_table builds the same costs for a whole range of loads
+    in C, for the chain DP and the transfer search; a test holds the two
+    equal.
 
     The deviation of an adjusted load A' from the mean total/n equals
     (n*A' - total)/n, so |.| costs carry a factor n and squared costs a
@@ -99,6 +103,16 @@ def _scaled_month_cost(objective: Objective, n: int, total: int):
     return cost, n * n
 
 
+def _month_cost_table(objective: Objective, n: int, total: int, top: int) -> list[int]:
+    """[cost(u) for u in range(top + 1)] for _scaled_month_cost's cost,
+    built in C: n * u - total runs over a range with step n, and the
+    table is its absolute values (L1) or its squares (quadratic)."""
+    d = range(-total, n * top - total + 1, n)
+    if objective is Objective.L1:
+        return list(map(abs, d))
+    return list(map(mul, d, d))
+
+
 # The most inflow states the chain DP may hold: ten times the 2.2e5 of
 # a 500x12 plan at about 10k h/month. Near it, a 12x12 plan of about
 # 112k h/month (2,465,170 states, each month's load split evenly over
@@ -116,7 +130,7 @@ def _check_chain_states(L) -> None:
         raise PlanError(f"the chain DP needs {_abridged(states)} states, past its limit of {_MAX_CHAIN_STATES}")
 
 
-def _chain_dp(L, cost, fixed=None):
+def _chain_dp(L, costs, fixed=None):
     """Minimize the summed per-month cost over integer boundary flows.
 
     The state of month j is its inflow x_{j-1}, the flow at boundary j-1,
@@ -130,16 +144,17 @@ def _chain_dp(L, cost, fixed=None):
     smallest one, so no state is without an outflow; a bound raised past
     its top means no vector affords the pins.
 
-    cost runs once per month load u in [0, peak], where peak is the
-    largest L[j-1] + L[j] + L[j+1] (0 past either end), into a table C.
-    cost is convex, so its differences dC are nondecreasing. A stage is a
-    min-plus convolution: with k = L[j] + x - lo1 month j's hours above
-    its smallest outflow lo1, and V the next month's suffix values over
-    y - lo1 = i in [0, span], month j's value at x is the least
-    C[k - i] + V[i] over i in [0, min(k, span)]. V is convex too, so this
-    is C[0] + V[0] plus the k smallest of the two difference sequences
-    together (Bussieck, Hassler, Woeginger & Zimmermann, Oper. Res. Lett.
-    1994): their sorted merge is the stage's own difference sequence, so
+    costs(peak) is the table C of the per-month cost of every month load
+    u in [0, peak], where peak is the largest L[j-1] + L[j] + L[j+1] (0
+    past either end). The cost is convex, so its differences dC are
+    nondecreasing. A stage is a min-plus convolution: with
+    k = L[j] + x - lo1 month j's hours above its smallest outflow lo1,
+    and V the next month's suffix values over y - lo1 = i in [0, span],
+    month j's value at x is the least C[k - i] + V[i] over i in
+    [0, min(k, span)]. V is convex too, so this is C[0] + V[0] plus the
+    k smallest of the two difference sequences together (Bussieck,
+    Hassler, Woeginger & Zimmermann, Oper. Res. Lett. 1994): their
+    sorted merge is the stage's own difference sequence, so
     the suffix values stay convex. list.sort merges the two runs in C,
     and being stable it puts a cost step before an equal value step,
     which takes the smallest outflow. The sweep carries only the value at
@@ -172,7 +187,7 @@ def _chain_dp(L, cost, fixed=None):
             doms.append((-L[b + 1], L[b]))
     padded = (0, *L, 0)
     peak = max(map(sum, zip(padded, padded[1:], padded[2:])))
-    C = list(map(cost, range(peak + 1)))  # C[u]: the cost of a month load u
+    C = costs(peak)  # C[u]: the cost of a month load u
     dC = list(map(sub, C[1:], C))  # nondecreasing: cost is convex
 
     # months j+1..n-1 cost value at inflow lo1 into month j+1, and dV[i]
@@ -261,8 +276,9 @@ def _chain_solve(loads: MonthlyLoads, objective: Objective, method: str, fixed=N
     """The chain DP's result for loads as a checked SolveResult, optimal
     unless boundaries are pinned; scans adds the work done to pin them."""
     L = loads.loads
-    cost, scale = _scaled_month_cost(objective, len(L), sum(L))
-    best, xs, visited = _chain_dp(L, cost, fixed)
+    n, total = len(L), sum(L)
+    _, scale = _scaled_month_cost(objective, n, total)
+    best, xs, visited = _chain_dp(L, partial(_month_cost_table, objective, n, total), fixed)
     transfers = TransferVector(xs)
     validate_transfers(loads, transfers)  # contract check on the way out
     return SolveResult(transfers, Fraction(best, scale), method, fixed is None, visited + scans)

@@ -63,6 +63,12 @@ def load_perfbench(stem: str):
     return sys.modules[name]
 
 
+def load_baseline() -> dict:
+    """perfbench/baseline.json, the benchmark's recorded results."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "baseline.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def json_report(doc) -> str:
     """Reference for io.render_report: json's own indented rendering."""
     return json.dumps(doc, indent=2) + "\n"
@@ -183,6 +189,12 @@ def direct_deviation(loads: MonthlyLoads, objective: Objective) -> Fraction:
     if objective is Objective.L1:
         return sum((abs(v - mean) for v in loads.loads), Fraction(0))
     return sum(((v - mean) ** 2 for v in loads.loads), Fraction(0))
+
+
+def tabulated(cost):
+    """A cost table maker for solvers._chain_dp from a per-month cost
+    function, one call per load, as the references read it."""
+    return lambda top: [cost(u) for u in range(top + 1)]
 
 
 def quadratic_chain_dp(L, cost, fixed=None):

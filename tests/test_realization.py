@@ -149,6 +149,53 @@ def test_subset_matches_brute_force(problem):
     assert subset_select(problem) == brute_force_subset(problem)
 
 
+@st.composite
+def forced_selection_problems(draw, max_items):
+    # the capacity is at least the items' total, or equal to one of them,
+    # with more copies of that item at any position; either way items
+    # larger than the capacity ride along, so the answer is forced
+    count = draw(st.integers(0, max_items))
+    items = draw(st.lists(st.integers(1, 100), min_size=count, max_size=count))
+    if items and draw(st.booleans()):
+        capacity = draw(st.sampled_from(items))
+        for _ in range(draw(st.integers(0, 2))):
+            items.insert(draw(st.integers(0, len(items))), capacity)
+    else:
+        capacity = sum(items) + draw(st.integers(0, 5))
+    for _ in range(draw(st.integers(0, 3))):
+        items.insert(draw(st.integers(0, len(items))), draw(st.integers(capacity + 1, capacity + 100)))
+    return SelectionProblem(tuple(items), capacity)
+
+
+@settings(max_examples=200, deadline=None)
+@given(forced_selection_problems(max_items=9))
+def test_forced_selections_match_brute_force(problem):
+    assert subset_select(problem) == brute_force_subset(problem)
+
+
+@settings(max_examples=100, deadline=None)
+@given(forced_selection_problems(max_items=80))
+def test_forced_selections_match_dict_reference(problem):
+    assert subset_select(problem) == dict_subset_select(problem)
+
+
+@pytest.mark.parametrize(
+    "items, capacity, chosen",
+    [
+        ((4, 7, 2, 7), 7, (1,)),  # the capacity equals two items: the first is taken
+        ((), 0, ()),  # an empty pool
+        ((), 6, ()),
+        ((3, 1), 0, ()),  # capacity 0: nothing fits
+        ((9, 5, 2, 3), 5, (1,)),  # an oversized item before the exact hit
+        ((9, 2, 3), 6, (1, 2)),  # an oversized item before the fitting rest, all taken
+        ((2, 3), 5, (0, 1)),  # the items total the capacity exactly
+    ],
+)
+def test_forced_selection_cases(items, capacity, chosen):
+    problem = SelectionProblem(items, capacity)
+    assert subset_select(problem) == dict_subset_select(problem) == chosen
+
+
 @pytest.mark.parametrize("m", [1, 2, 5, 6, 13, 14, 29, 30, 61, 62, 125, 126, 253, 254])
 def test_subset_field_width_edges(m):
     # m one-hour items: the fewest count at the best total is m itself, the

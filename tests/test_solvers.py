@@ -16,26 +16,30 @@ from repair_leveler import (
     brute_force_transfers,
     column_sums,
     deviation,
+    realize_transfers,
     solve_bisection,
     solve_exact,
     solve_greedy,
     standard_form,
+    subset_select,
     validate_transfers,
 )
 from repair_leveler.cli import _solve, build_parser
-from repair_leveler import solvers
-from repair_leveler.solvers import _chain_dp, _scaled_month_cost
+from repair_leveler import realization, solvers
+from repair_leveler.solvers import _chain_dp, _month_cost_table, _scaled_month_cost
 from helpers import (
     GOLDEN_LOADS,
     SWEEP_LOAD_CAP,
     direct_deviation,
     fraction_solve_greedy,
+    load_baseline,
     load_perfbench,
     pointer_chain_dp,
     quadratic_chain_dp,
     random_feasible_transfers,
     random_loads,
     random_plan,
+    tabulated,
 )
 
 QUAD = SolverConfig(objective=Objective.QUADRATIC)
@@ -560,6 +564,11 @@ def chain_cases(draw):
     return L, cost, fixed or None
 
 
+def _table_chain_dp(L, cost, fixed=None):
+    # _chain_dp reads the costs from a table; the references call cost
+    return _chain_dp(L, tabulated(cost), fixed)
+
+
 def _chain_outcome(dp, case, parts=2):
     try:
         return dp(*case)[:parts]
@@ -570,7 +579,7 @@ def _chain_outcome(dp, case, parts=2):
 @settings(max_examples=150, deadline=None)
 @given(chain_cases())
 def test_chain_dp_matches_quadratic_reference(case):
-    assert _chain_outcome(_chain_dp, case) == _chain_outcome(quadratic_chain_dp, case)
+    assert _chain_outcome(_table_chain_dp, case) == _chain_outcome(quadratic_chain_dp, case)
 
 
 @settings(max_examples=300, deadline=None)
@@ -578,14 +587,14 @@ def test_chain_dp_matches_quadratic_reference(case):
 def test_chain_dp_matches_pointer_reference(case):
     # the sweep that calls cost on every state it compares: the same value,
     # flows and work count, and the same refusal of unaffordable pins
-    assert _chain_outcome(_chain_dp, case, 3) == _chain_outcome(pointer_chain_dp, case, 3)
+    assert _chain_outcome(_table_chain_dp, case, 3) == _chain_outcome(pointer_chain_dp, case, 3)
 
 
 @pytest.mark.parametrize("objective", [L1, QD])
 @pytest.mark.parametrize("loads", [_H4K, _H10K, _H20K])
 def test_chain_dp_matches_pointer_reference_at_scale(loads, objective):
     cost, _ = _scaled_month_cost(objective, len(loads), sum(loads))
-    assert _chain_dp(loads, cost) == pointer_chain_dp(loads, cost)
+    assert _table_chain_dp(loads, cost) == pointer_chain_dp(loads, cost)
 
 
 # A stage merges the cost steps up to its largest month-j load k with the
@@ -605,7 +614,7 @@ def test_chain_dp_matches_pointer_reference_at_scale(loads, objective):
 )
 def test_chain_dp_work_count_edges(L, fixed, objective):
     cost, _ = _scaled_month_cost(objective, len(L), sum(L))
-    assert _chain_dp(L, cost, fixed) == pointer_chain_dp(L, cost, fixed)
+    assert _table_chain_dp(L, cost, fixed) == pointer_chain_dp(L, cost, fixed)
 
 
 @pytest.mark.parametrize("objective", [L1, QD])
@@ -613,8 +622,18 @@ def test_chain_dp_tie_takes_the_smaller_flow(objective):
     # loads (2, 1) and (1, 2) cost the same; the merge puts the cost step
     # before the equal value step, which keeps the flow at 1, not 2
     cost, _ = _scaled_month_cost(objective, 2, 3)
-    assert [cost(2) + cost(1), cost(1) + cost(2)] == [_chain_dp((3, 0), cost)[0]] * 2
-    assert _chain_dp((3, 0), cost)[1] == (1,)
+    assert [cost(2) + cost(1), cost(1) + cost(2)] == [_table_chain_dp((3, 0), cost)[0]] * 2
+    assert _table_chain_dp((3, 0), cost)[1] == (1,)
+
+
+@pytest.mark.parametrize("objective", [L1, QD])
+def test_month_cost_table_equals_the_cost(objective):
+    rng = random.Random(29)
+    edges = [(2, 0, 0), (2, 0, 9), (5, 17, 0), (1, 0, 0), (12, 10**30, 3)]
+    drawn = [(rng.randint(1, 60), rng.randint(0, 5000), rng.randint(0, 400)) for _ in range(300)]
+    for n, total, top in edges + drawn:
+        cost, _ = _scaled_month_cost(objective, n, total)
+        assert _month_cost_table(objective, n, total, top) == [cost(u) for u in range(top + 1)]
 
 
 workloads = load_perfbench("workloads")
@@ -641,6 +660,37 @@ def test_benchmark_solver_work_is_pinned(name):
             loads = column_sums(AnnualPlan(case.rows))
             total += _solve(loads, Objective(args.objective), args.method).visited_states
     assert total == _WORKLOAD_WORK[name]
+
+
+_REALIZATION_COUNTS = ("realization.subset_calls", "realization.donor_items", "realization.subset_cells")
+
+
+@pytest.mark.parametrize("name", sorted(_WORKLOAD_WORK))
+def test_benchmark_realization_work_is_pinned(name, monkeypatch):
+    # the traced benchmark wraps realization.subset_select and sums its
+    # calls, donor items and items x capacity; over each workload's seed-1
+    # plans they must equal the recorded trace-1 counts, so an answer
+    # that skipped the call would show here, not only in the benchmark
+    recorded = load_baseline()["workloads"][name]["trace1"]["counts"]["1"]
+    work = dict.fromkeys(_REALIZATION_COUNTS, 0)
+
+    def spy(problem):
+        work["realization.subset_calls"] += 1
+        work["realization.donor_items"] += len(problem.items)
+        work["realization.subset_cells"] += len(problem.items) * problem.capacity
+        return subset_select(problem)
+
+    monkeypatch.setattr(realization, "subset_select", spy)
+    parser = build_parser()
+    for case in workloads.generate(name, 1):
+        args = parser.parse_args(["--input", "plan.csv", *case.flags])
+        plan = AnnualPlan(case.rows)
+        if args.shifts_only:
+            transfers = TransferVector(args.transfers)
+        else:
+            transfers = _solve(column_sums(plan), Objective(args.objective), args.method).transfers
+        realize_transfers(plan, transfers)
+    assert work == {key: recorded[key] for key in _REALIZATION_COUNTS}
 
 
 def test_benchmark_oracle_work_is_pinned():
