@@ -11,7 +11,7 @@ import csv
 import json
 import re
 from io import StringIO
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import IO
 
@@ -65,15 +65,25 @@ def _parse_rows(text: str) -> AnnualPlan:
     """The plan of text's csv records. Records of ASCII digits after an
     optional header, in rows of one width of at least two, are converted
     in one step; the walk reads any other text, and names a bad cell. A
-    blank first record is a header to _is_header, as the walk skips it."""
+    blank first record is a header to _is_header, as the walk skips it.
+
+    A plan's cells repeat a few small numbers, so the step checks each
+    distinct cell text and reads it by int() once, then looks every cell
+    up by its text. When most texts differ in a sample of at most 64
+    cells, taken at one stride through the plan, the table would cost
+    more than it saves, and int() reads every cell instead.
+    """
     records = _records(text)
     body = records[1:] if records and _is_header([cell.strip() for cell in records[0]]) else records
     if body:
         width = len(body[0])
-        digits = "".join(map("".join, body))
+        sample = list(islice(chain.from_iterable(body), 0, None, width * len(body) // 64 + 1))
+        texts = set(chain.from_iterable(body)) if 2 * len(set(sample)) <= len(sample) else None
+        digits = "".join(map("".join, body) if texts is None else texts)
         if width > 1 and digits.isdigit() and digits.isascii() and set(map(len, body)) == {width}:
             try:
-                return AnnualPlan._trusted(tuple(zip(*[map(int, chain.from_iterable(body))] * width)))
+                convert = int if texts is None else dict(zip(texts, map(int, texts))).__getitem__
+                return AnnualPlan._trusted(tuple(zip(*[map(convert, chain.from_iterable(body))] * width)))
             except ValueError:  # an empty cell, or one longer than int() reads
                 pass
     return _walk(records)
@@ -229,12 +239,47 @@ def build_report(
 _json_str = json.encoder.encode_basestring_ascii
 
 
+def _json_key(key) -> str:
+    """The quoted text of an object key, coerced as json.dumps coerces it:
+    a float, True, False or None by its JSON text and an int by its
+    number; any other type is refused with json's TypeError."""
+    if isinstance(key, str):
+        return _json_str(key)
+    if isinstance(key, (float, bool)) or key is None:
+        return _json_str(json.dumps(key))
+    if isinstance(key, int):
+        return _json_str(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _record_layout(records, indent: str) -> str | None:
+    """A %-template that renders each of records, plain dicts, at indent,
+    when they all hold the same keys in the same order and only plain
+    ints. None when they do not, or when a key is refused or too long to
+    render: the generic path then raises json's error where json does."""
+    keys = tuple(records[0])
+    if not all(map(keys.__eq__, map(tuple, records))):
+        return None
+    if set(map(type, chain.from_iterable(map(dict.values, records)))) != {int}:
+        return None
+    inner = indent + "  "
+    try:
+        fields = [_json_key(key).replace("%", "%%") + ": %d" for key in keys]
+    except (TypeError, ValueError):
+        return None
+    return "{" + inner + ("," + inner).join(fields) + indent + "}"
+
+
 def _render_json(value, indent: str, out) -> None:
     """Pass value's JSON text, laid out as by json.dumps(indent=2), to out
     piece by piece; indent is the newline and spaces of value's own line.
 
     Plain ints, the report's usual value, are rendered in place rather
-    than by a call per number.
+    than by a call per number. A list of plain dicts with the same keys in
+    the same order and only plain-int values, such as the report's
+    boundary records, is rendered from one layout built for the list;
+    bools, int subclasses, dict subclasses and any other list take the
+    generic path.
     """
     if isinstance(value, str):
         out(_json_str(value))
@@ -250,21 +295,25 @@ def _render_json(value, indent: str, out) -> None:
         inner = indent + "  "
         sep = "{" + inner
         for key, item in value.items():
+            head = sep + (_json_str(key) if type(key) is str else _json_key(key)) + ": "  # str keys skip the call
             if type(item) is int:
-                out(sep + _json_str(key) + ": " + int.__repr__(item))
+                out(head + int.__repr__(item))
             else:
-                out(sep + _json_str(key) + ": ")
+                out(head)
                 _render_json(item, inner, out)
             sep = "," + inner
         out(indent + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             out("[]")
-        elif set(map(type, value)) == {int}:
-            inner = indent + "  "
+            return
+        inner = indent + "  "
+        kinds = set(map(type, value))
+        if kinds == {int}:
             out("[" + inner + ("," + inner).join(map(int.__repr__, value)) + indent + "]")
+        elif kinds == {dict} and (layout := _record_layout(value, inner)):
+            out("[" + inner + ("," + inner).join([layout % tuple(record.values()) for record in value]) + indent + "]")
         else:
-            inner = indent + "  "
             sep = "[" + inner
             for item in value:
                 out(sep)
@@ -278,8 +327,9 @@ def _render_json(value, indent: str, out) -> None:
 def render_report(report: dict) -> str:
     """Deterministic JSON rendering, keys in the order build_report set them.
 
-    The text is json.dumps(report, indent=2) plus a newline, built here
-    because json renders an indented document with its pure-Python encoder.
+    The text is json.dumps(report, indent=2) plus a newline, keys coerced
+    and refused as json does, built here because json renders an indented
+    document with its pure-Python encoder.
     """
     parts: list[str] = []
     _render_json(report, "\n", parts.append)

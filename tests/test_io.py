@@ -328,13 +328,19 @@ def plan_texts(draw):
     n = draw(st.integers(1, 5)) if departs() else draw(st.integers(2, 5))
     odd = draw(st.floats(0, 0.3)) if departs() else 0  # the share of cells drawn from ODD_CELLS
     ragged = departs()
+    # small ranges repeat their texts, and leading zeros give one number two texts
+    top = draw(st.sampled_from((2, 30, 10**6)))
+    zeros = draw(st.booleans())
+
+    def cell() -> str:
+        if draw(st.floats(0, 1)) < odd:
+            return draw(st.sampled_from(ODD_CELLS))
+        return "0" * (zeros and draw(st.integers(0, 1))) + str(draw(st.integers(0, top)))
+
     lines = []
     for _ in range(draw(st.integers(0 if departs() else 1, 6))):
         width = draw(st.integers(1, n + 2)) if ragged and draw(st.booleans()) else n
-        lines.append(",".join(
-            draw(st.sampled_from(ODD_CELLS)) if draw(st.floats(0, 1)) < odd else str(draw(st.integers(0, 10**6)))
-            for _ in range(width)
-        ))
+        lines.append(",".join(cell() for _ in range(width)))
     if departs():  # blank and whitespace-only rows
         for _ in range(draw(st.integers(1, 2))):
             lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", " ", "\t", ",", " , "))))
@@ -402,12 +408,51 @@ def test_parse_plain_leaves_other_texts_to_the_walk(text):
         ),
         ("5\n6\n", False, ("plan needs at least two months", None, None)),
         ("1,2\n3,4,5\n", False, ("row 2 has 3 cells, expected 2", 2, None)),
+        ("007,7\n00,0\n", True, AnnualPlan(((7, 7), (0, 0)))),
+        ("007,7,7,7\n00,0,0,0\n", True, AnnualPlan(((7, 7, 7, 7), (0, 0, 0, 0)))),
+        ("1,,1\n1,,1\n1,,1\n", False, ("row 1, column 2: '' is not an integer", 1, 2)),
+        pytest.param(
+            "1,{0}\n1,{0}\n1,{0}\n".format("7" * 5000), False,
+            ("row 1, column 2: a 5000-character integer is too long", 1, 2),
+            marks=pytest.mark.skipif(not 0 < INT_DIGITS < 5000, reason="this interpreter reads a 5000-digit integer"),
+        ),
     ],
-    ids=["blank-first-row", "blank-row-then-header", "empty-cell", "quoted-digits", "5000-digit-cell", "one-column", "ragged"],
+    ids=[
+        "blank-first-row", "blank-row-then-header", "empty-cell", "quoted-digits", "5000-digit-cell", "one-column",
+        "ragged", "leading-zeros", "leading-zeros-repeated", "repeated-empty-cell", "repeated-5000-digit-cell",
+    ],
 )
 def test_parse_fast_conversion_edges(text, fast, outcome):
     assert _parse_and_walks(text) == (outcome, 0 if fast else 1)
     assert _outcome(_walk, text) == outcome
+
+
+def _int_calls(text: str) -> list[str]:
+    """The texts parse_plan passes to int() while it reads text."""
+    calls = []
+
+    def counted(cell):
+        calls.append(cell)
+        return int(cell)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rl_io, "int", counted, raising=False)
+        parse_plan(io.StringIO(text))
+    return calls
+
+
+def test_parse_reads_each_repeated_text_once():
+    text = "month_1,month_2,month_3\n" + "0,12,0\n" * 30 + "007,12,7\n"
+    assert sorted(_int_calls(text)) == ["0", "007", "12", "7"]
+    assert parse_plan(io.StringIO(text)).entries == ((0, 12, 0),) * 30 + ((7, 12, 7),)
+
+
+def test_parse_reads_mostly_distinct_texts_cell_by_cell():
+    # a table of 200 texts for 200 cells would cost more than it saves
+    rows = [(2 * i, 2 * i + 1) for i in range(100)]
+    text = "".join(f"{a},{b}\n" for a, b in rows)
+    assert _int_calls(text) == [str(value) for row in rows for value in row]
+    assert parse_plan(io.StringIO(text)).entries == tuple(rows)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="int() has no digit limit to lift")
@@ -572,11 +617,17 @@ def test_render_report_matches_json_dumps():
         "scalars": [True, False, None, 0, -(10**40), "", "caf\u00e9 \U0001f600 \x00\x1f\"\\"],
         "rows": [[1, 2], (3, 4), [True, 5]],
         "subclasses": [Objective.QUADRATIC, enum.IntEnum("Level", "LOW HIGH").HIGH],
+        "keys": {
+            2: 1, -7: 2, 10**30: 3, 1.5: 4, -0.0: 5, 1e300: 6, float("inf"): 7, float("-inf"): 8, float("nan"): 9,
+            True: 10, False: 11, None: 12, _Month.A: 13, Objective.L1: 14,
+        },
     }
     assert render_report(doc) == json_report(doc)
 
 
-_json_strings = st.text() | st.text(alphabet="\x00\x1f\x7f\"\\/\u00e9\u2028\U0001f600ab")
+_json_strings = st.text() | st.text(alphabet="\x00\x1f\x7f\"\\/\u00e9\u2028\U0001f600ab%d")
+# every key type json coerces: str, int, float, bool and None
+_json_keys = st.one_of(_json_strings, st.integers(), st.floats(), st.booleans(), st.none())
 _json_scalars = st.one_of(
     _json_strings,
     st.integers(),
@@ -585,17 +636,73 @@ _json_scalars = st.one_of(
     st.booleans(),
     st.none(),
 )
+# lists of records with the same keys in the same order and plain-int
+# values, such as the report's boundaries
+_int_records = st.lists(_json_keys, unique=True, max_size=4).flatmap(
+    lambda keys: st.lists(
+        st.lists(st.integers(), min_size=len(keys), max_size=len(keys)).map(lambda values: dict(zip(keys, values))),
+        min_size=1,
+        max_size=5,
+    )
+)
 _json_values = st.recursive(
-    _json_scalars,
-    lambda children: st.lists(children, max_size=6) | st.dictionaries(_json_strings, children, max_size=6),
+    _json_scalars | _int_records,
+    lambda children: st.lists(children, max_size=6) | st.dictionaries(_json_keys, children, max_size=6),
     max_leaves=20,
 )
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.dictionaries(_json_strings, _json_values, max_size=8))
+@given(st.dictionaries(_json_keys, _json_values, max_size=8))
 def test_render_report_matches_json_dumps_on_any_document(doc):
     assert render_report(doc) == json_report(doc)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [{"a": 1, "b": 2}, {"b": 3, "a": 4}],
+        [{"100%": 1, "%d": 2, "%%s": 3}, {"100%": 4, "%d": 5, "%%s": 6}],
+        [{"a": 1, "b": 2}, {"a": 3, "b": True}],
+        [{"a": 1, "b": 2}, {"a": 3, "b": _Month.A}],
+        [{"a": 1, "b": 2}, {"a": 3, "b": 2.0}],
+        [{"a": 1, "b": 2}, {"a": 3, "b": [4, 5]}],
+        [{}, {"a": 1}],
+        [{}, {}],
+        [{"boundary": 1, "requested": -(10**40), "achieved": 0, "residual": 3}],
+        [{1: 2, 2.5: 3, None: 4, True: 5, float("nan"): 6}, {1: 7, 2.5: 8, None: 9, True: 10, float("nan"): 11}],
+    ],
+    ids=[
+        "other-key-order", "percent-keys", "bool-value", "intenum-value", "float-value", "list-value",
+        "empty-first-record", "empty-records", "one-record", "coerced-keys",
+    ],
+)
+def test_render_report_record_layout(records):
+    doc = {"records": records, "tuple": tuple(records), "nested": [records, {"records": records}]}
+    assert render_report(doc) == json_report(doc)
+
+
+def _refusal(render, doc):
+    with pytest.raises((TypeError, ValueError)) as exc:
+        render(doc)
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {(1,): 2},
+        {"a": {b"x": 1}},
+        {"records": [{"a": 1, (1,): 2}, {"a": 3, (1,): 4}]},
+        pytest.param({"records": [{"a": 1}, {"a": 10**5000}]}, marks=needs_int_digit_limit),
+        pytest.param({"records": [{"a": 10**5000, (1,): 2}]}, marks=needs_int_digit_limit),
+        pytest.param({"records": [{10**5000: 1}, {10**5000: 2}]}, marks=needs_int_digit_limit),
+    ],
+    ids=["tuple-key", "bytes-key", "tuple-key-in-records", "5000-digit-value", "value-before-bad-key", "5000-digit-key"],
+)
+def test_render_report_refuses_as_json_does(doc):
+    # the same exception and message, whichever the document meets first
+    assert _refusal(render_report, doc) == _refusal(json_report, doc)
 
 
 def test_standard_form_to_dict():
