@@ -16,7 +16,7 @@ from operator import add
 from .errors import BudgetExceededError, _abridged
 from .plan import AnnualPlan, MonthlyLoads, ShiftMatrix, TransferVector, column_sums
 from .realization import SelectionProblem
-from .solvers import Objective, SolveResult, _month_cost_table, _scaled_month_cost
+from .solvers import Objective, SolveResult, _month_costs
 
 __all__ = [
     "brute_force_transfers",
@@ -63,9 +63,8 @@ def brute_force_transfers(loads: MonthlyLoads, objective: Objective) -> SolveRes
         raise BudgetExceededError(
             f"transfer search accepts monthly loads up to {_MAX_MONTH_LOAD}, got {_abridged(top_load)}"
         )
-    _, scale = _scaled_month_cost(objective, n, sum(L))
     # a month keeps at most its own load plus both neighbours'
-    C = _month_cost_table(objective, n, sum(L), 3 * top_load)
+    C, scale = _month_costs(objective, n, sum(L), range(3 * top_load + 1))
     B = n - 1
     best_cost = None
     best_x: tuple[int, ...] | None = None
@@ -116,7 +115,8 @@ def brute_force_shifts(plan: AnnualPlan, objective: Objective) -> tuple[ShiftMat
     k, n = plan.k, plan.n
     if k * n > _MAX_CELLS:
         raise BudgetExceededError(f"shift search accepts up to {_MAX_CELLS} cells, got {k * n}")
-    cost, scale = _scaled_month_cost(objective, n, plan.total_hours())
+    total = plan.total_hours()
+    _, scale = _month_costs(objective, n, total, ())
     cells = [(i, j) for i in range(k) for j in range(n) if plan.entries[i][j] > 0]
     sums = list(column_sums(plan).loads)
     marks = [[0] * n for _ in range(k)]
@@ -130,7 +130,7 @@ def brute_force_shifts(plan: AnnualPlan, objective: Objective) -> tuple[ShiftMat
         if state > _MAX_STATES:
             raise BudgetExceededError(f"shift search passed {_MAX_STATES} states")
         if idx == len(cells):
-            c = sum(cost(v) for v in sums)
+            c = sum(_month_costs(objective, n, total, sums)[0])
             if best is None or c < best:
                 best = c
                 best_marks = tuple(tuple(row) for row in marks)

@@ -16,8 +16,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import partial
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .errors import PlanError, _abridged
 from .plan import MonthlyLoads, TransferVector, _Frozen, apply_transfers, validate_transfers
@@ -48,8 +47,8 @@ def deviation(loads: MonthlyLoads, objective: Objective) -> Fraction:
     Transfers and shifts conserve total hours, so the mean of a leveled
     vector is the mean of the plan it came from.
     """
-    cost, scale = _scaled_month_cost(objective, loads.n, loads.total())
-    return Fraction(sum(map(cost, loads.loads)), scale)
+    costs, scale = _month_costs(objective, loads.n, loads.total(), loads.loads)
+    return Fraction(sum(costs), scale)
 
 
 class SolverConfig(_Frozen):
@@ -74,43 +73,25 @@ class SolveResult(_Frozen):
 # ---------------------------------------------------------------------------
 
 
-def _scaled_month_cost(objective: Objective, n: int, total: int):
-    """Per-month cost as a plain integer: the definition of the
-    objective, shared by deviation, every solver and the oracles.
-    _month_cost_table builds the same costs for a whole range of loads
-    in C, for the chain DP and the transfer search; a test holds the two
-    equal.
+def _month_costs(objective: Objective, n: int, total: int, loads) -> tuple[list[int], int]:
+    """The per-month cost of each load as a plain integer: the definition
+    of the objective, shared by deviation, every solver and the oracles.
 
     The deviation of an adjusted load A' from the mean total/n equals
     (n*A' - total)/n, so |.| costs carry a factor n and squared costs a
-    factor n^2. Returns (cost function, that scale factor).
+    factor n^2. loads is a range of step 1, whose costs are built in C
+    from one range of n*A' - total with step n, or any sequence of
+    loads. Returns ([cost of each load], that scale factor).
     """
+    if isinstance(loads, range):
+        d = range(n * loads.start - total, n * loads.stop - total, n)
+    else:
+        d = [n * u - total for u in loads]
     if objective is Objective.L1:
-
-        def cost(load: int) -> int:
-            d = n * load - total
-            return -d if d < 0 else d
-
-        return cost, n
-
+        return list(map(abs, d)), n
     if objective is not Objective.QUADRATIC:
         raise PlanError(f"unknown objective {_abridged(objective)}")
-
-    def cost(load: int) -> int:
-        d = n * load - total
-        return d * d
-
-    return cost, n * n
-
-
-def _month_cost_table(objective: Objective, n: int, total: int, top: int) -> list[int]:
-    """[cost(u) for u in range(top + 1)] for _scaled_month_cost's cost,
-    built in C: n * u - total runs over a range with step n, and the
-    table is its absolute values (L1) or its squares (quadratic)."""
-    d = range(-total, n * top - total + 1, n)
-    if objective is Objective.L1:
-        return list(map(abs, d))
-    return list(map(mul, d, d))
+    return list(map(mul, d, d)), n * n
 
 
 # The most inflow states the chain DP may hold: ten times the 2.2e5 of
@@ -130,7 +111,7 @@ def _check_chain_states(L) -> None:
         raise PlanError(f"the chain DP needs {_abridged(states)} states, past its limit of {_MAX_CHAIN_STATES}")
 
 
-def _chain_dp(L, costs, fixed=None):
+def _chain_dp(L, C, fixed=None):
     """Minimize the summed per-month cost over integer boundary flows.
 
     The state of month j is its inflow x_{j-1}, the flow at boundary j-1,
@@ -144,10 +125,10 @@ def _chain_dp(L, costs, fixed=None):
     smallest one, so no state is without an outflow; a bound raised past
     its top means no vector affords the pins.
 
-    costs(peak) is the table C of the per-month cost of every month load
-    u in [0, peak], where peak is the largest L[j-1] + L[j] + L[j+1] (0
-    past either end). The cost is convex, so its differences dC are
-    nondecreasing. A stage is a min-plus convolution: with
+    C is the table of the per-month cost of every month load u from 0 up
+    to at least peak, the largest L[j-1] + L[j] + L[j+1] (0 past either
+    end), which no month can exceed. The cost is convex, so its
+    differences dC are nondecreasing. A stage is a min-plus convolution: with
     k = L[j] + x - lo1 month j's hours above its smallest outflow lo1,
     and V the next month's suffix values over y - lo1 = i in [0, span],
     month j's value at x is the least C[k - i] + V[i] over i in
@@ -185,9 +166,6 @@ def _chain_dp(L, costs, fixed=None):
             doms.append((v, v))
         else:
             doms.append((-L[b + 1], L[b]))
-    padded = (0, *L, 0)
-    peak = max(map(sum, zip(padded, padded[1:], padded[2:])))
-    C = costs(peak)  # C[u]: the cost of a month load u
     dC = list(map(sub, C[1:], C))  # nondecreasing: cost is convex
 
     # months j+1..n-1 cost value at inflow lo1 into month j+1, and dV[i]
@@ -276,9 +254,10 @@ def _chain_solve(loads: MonthlyLoads, objective: Objective, method: str, fixed=N
     """The chain DP's result for loads as a checked SolveResult, optimal
     unless boundaries are pinned; scans adds the work done to pin them."""
     L = loads.loads
-    n, total = len(L), sum(L)
-    _, scale = _scaled_month_cost(objective, n, total)
-    best, xs, visited = _chain_dp(L, partial(_month_cost_table, objective, n, total), fixed)
+    padded = (0, *L, 0)
+    peak = max(map(sum, zip(padded, padded[1:], padded[2:])))
+    C, scale = _month_costs(objective, len(L), sum(L), range(peak + 1))
+    best, xs, visited = _chain_dp(L, C, fixed)
     transfers = TransferVector(xs)
     validate_transfers(loads, transfers)  # contract check on the way out
     return SolveResult(transfers, Fraction(best, scale), method, fixed is None, visited + scans)
@@ -337,12 +316,14 @@ def solve_bisection(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) 
         # smallest flow at boundary cut-1 that best balances months
         # start..cut-1 against cut..stop-1, each costed as one month of a
         # parts-month year; returns it with the scan size
-        part_cost, _ = _scaled_month_cost(config.objective, parts, total)
         left = sum(L[start:cut]) + inflow
         right = sum(L[cut:stop]) - outflow
-        flows = range(-L[cut], L[cut - 1] + 1)
-        v = min(flows, key=lambda v: part_cost(left - v) + part_cost(right + v))
-        return v, len(flows)
+        lo, hi = -L[cut], L[cut - 1]
+        # flow v leaves left - v on the left, so gives runs from v = hi down to lo
+        gives, _ = _month_costs(config.objective, parts, total, range(left - hi, left - lo + 1))
+        takes, _ = _month_costs(config.objective, parts, total, range(right + lo, right + hi + 1))
+        totals = list(map(add, reversed(gives), takes))
+        return lo + totals.index(min(totals)), len(totals)
 
     v_mid, scan1 = split(0, mid, n, 0, 0, 2)
     v_q1, scan2 = split(0, q, mid, 0, v_mid, 4)

@@ -33,7 +33,6 @@ from repair_leveler import (
     subset_select,
     validate_transfers,
 )
-from repair_leveler.solvers import _scaled_month_cost
 
 # The transfer oracle enumerates every boundary flow, so random sweeps
 # must shrink the load range as the month count grows.
@@ -191,10 +190,14 @@ def direct_deviation(loads: MonthlyLoads, objective: Objective) -> Fraction:
     return sum(((v - mean) ** 2 for v in loads.loads), Fraction(0))
 
 
-def tabulated(cost):
-    """A cost table maker for solvers._chain_dp from a per-month cost
-    function, one call per load, as the references read it."""
-    return lambda top: [cost(u) for u in range(top + 1)]
+def month_cost(objective: Objective, n: int, total: int):
+    """Reference for solvers._month_costs, one load at a time: a month
+    load u lies (n*u - total)/n from the mean total/n, so its cost is
+    |n*u - total| at scale n (L1) or (n*u - total)^2 at scale n^2
+    (quadratic). Returns (cost function, scale)."""
+    if objective is Objective.L1:
+        return (lambda u: abs(n * u - total)), n
+    return (lambda u: (n * u - total) ** 2), n * n
 
 
 def quadratic_chain_dp(L, cost, fixed=None):
@@ -511,7 +514,7 @@ def pruned_brute_force_transfers(
     top_load = max(L)
     if top_load > max_month_load:
         raise BudgetExceededError(f"transfer search accepts monthly loads up to {max_month_load}, got {top_load}")
-    cost, scale = _scaled_month_cost(objective, n, sum(L))
+    cost, scale = month_cost(objective, n, sum(L))
     B = n - 1
     best_cost = None
     best_x: tuple[int, ...] | None = None

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import find, given, settings, strategies as st
+from hypothesis import example, find, given, settings, strategies as st
 
 from repair_leveler import (
     AnnualPlan,
@@ -26,7 +26,7 @@ from repair_leveler import (
 )
 from repair_leveler.cli import _solve, build_parser
 from repair_leveler import realization, solvers
-from repair_leveler.solvers import _chain_dp, _month_cost_table, _scaled_month_cost
+from repair_leveler.solvers import _chain_dp, _month_costs
 from helpers import (
     GOLDEN_LOADS,
     SWEEP_LOAD_CAP,
@@ -34,12 +34,12 @@ from helpers import (
     fraction_solve_greedy,
     load_baseline,
     load_perfbench,
+    month_cost,
     pointer_chain_dp,
     quadratic_chain_dp,
     random_feasible_transfers,
     random_loads,
     random_plan,
-    tabulated,
 )
 
 QUAD = SolverConfig(objective=Objective.QUADRATIC)
@@ -247,6 +247,11 @@ def _split_reference(L, objective):
     st.sampled_from((4, 8, 12)).flatmap(lambda n: st.lists(st.integers(0, 60), min_size=n, max_size=n)),
     st.sampled_from(Objective),
 )
+# side loads below zero: q1's right side spans -5..5 in the first, q3's left side in the second
+@example([0, 10, 0, 0], Objective.L1)
+@example([0, 10, 0, 0], Objective.QUADRATIC)
+@example([0, 0, 10, 0], Objective.L1)
+@example([0, 0, 10, 0], Objective.QUADRATIC)
 def test_bisection_split_flows_match_fraction_reference(hours, objective):
     result = solve_bisection(MonthlyLoads(tuple(hours)), SolverConfig(objective))
     for b, v in _split_reference(hours, objective).items():
@@ -560,13 +565,14 @@ def chain_cases(draw):
     objective = draw(st.sampled_from(Objective))
     pinned = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
     fixed = {b: draw(st.integers(min_value=-L[b + 1], max_value=L[b])) for b in range(n - 1) if pinned[b]}
-    cost, _ = _scaled_month_cost(objective, n, sum(L))
+    cost, _ = month_cost(objective, n, sum(L))
     return L, cost, fixed or None
 
 
 def _table_chain_dp(L, cost, fixed=None):
-    # _chain_dp reads the costs from a table; the references call cost
-    return _chain_dp(L, tabulated(cost), fixed)
+    # _chain_dp reads the costs from a table, here over every load up to
+    # sum(L), past the peak it needs; the references call cost
+    return _chain_dp(L, [cost(u) for u in range(sum(L) + 1)], fixed)
 
 
 def _chain_outcome(dp, case, parts=2):
@@ -593,7 +599,7 @@ def test_chain_dp_matches_pointer_reference(case):
 @pytest.mark.parametrize("objective", [L1, QD])
 @pytest.mark.parametrize("loads", [_H4K, _H10K, _H20K])
 def test_chain_dp_matches_pointer_reference_at_scale(loads, objective):
-    cost, _ = _scaled_month_cost(objective, len(loads), sum(loads))
+    cost, _ = month_cost(objective, len(loads), sum(loads))
     assert _table_chain_dp(loads, cost) == pointer_chain_dp(loads, cost)
 
 
@@ -613,7 +619,7 @@ def test_chain_dp_matches_pointer_reference_at_scale(loads, objective):
     ],
 )
 def test_chain_dp_work_count_edges(L, fixed, objective):
-    cost, _ = _scaled_month_cost(objective, len(L), sum(L))
+    cost, _ = month_cost(objective, len(L), sum(L))
     assert _table_chain_dp(L, cost, fixed) == pointer_chain_dp(L, cost, fixed)
 
 
@@ -621,19 +627,36 @@ def test_chain_dp_work_count_edges(L, fixed, objective):
 def test_chain_dp_tie_takes_the_smaller_flow(objective):
     # loads (2, 1) and (1, 2) cost the same; the merge puts the cost step
     # before the equal value step, which keeps the flow at 1, not 2
-    cost, _ = _scaled_month_cost(objective, 2, 3)
+    cost, _ = month_cost(objective, 2, 3)
     assert [cost(2) + cost(1), cost(1) + cost(2)] == [_table_chain_dp((3, 0), cost)[0]] * 2
     assert _table_chain_dp((3, 0), cost)[1] == (1,)
 
 
 @pytest.mark.parametrize("objective", [L1, QD])
-def test_month_cost_table_equals_the_cost(objective):
+def test_month_costs_match_the_reference(objective):
+    # a range of loads is costed in C and a list one load at a time; both
+    # equal the written-out cost, below a zero load too, at scale n or n^2
     rng = random.Random(29)
-    edges = [(2, 0, 0), (2, 0, 9), (5, 17, 0), (1, 0, 0), (12, 10**30, 3)]
-    drawn = [(rng.randint(1, 60), rng.randint(0, 5000), rng.randint(0, 400)) for _ in range(300)]
-    for n, total, top in edges + drawn:
-        cost, _ = _scaled_month_cost(objective, n, total)
-        assert _month_cost_table(objective, n, total, top) == [cost(u) for u in range(top + 1)]
+    edges = [
+        (2, 0, range(1)),
+        (2, 0, range(10)),
+        (5, 17, range(1)),
+        (1, 0, range(1)),
+        (12, 10**30, range(4)),
+        (4, 10, range(-5, 6)),  # a bisection split side that runs below zero
+        (3, 7, range(0)),  # no loads at all
+        (3, 7, range(9, 9)),
+    ]
+    drawn = []
+    for _ in range(300):
+        start = rng.randint(-200, 200)
+        drawn.append((rng.randint(1, 60), rng.randint(0, 5000), range(start, start + rng.randint(0, 400))))
+    for n, total, loads in edges + drawn:
+        cost, scale = month_cost(objective, n, total)
+        assert scale == (n if objective is L1 else n * n)
+        want = ([cost(u) for u in loads], scale)
+        assert _month_costs(objective, n, total, loads) == want
+        assert _month_costs(objective, n, total, list(loads)) == want
 
 
 workloads = load_perfbench("workloads")
