@@ -11,7 +11,7 @@ import csv
 import json
 import re
 from io import StringIO
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import IO
 
@@ -69,21 +69,18 @@ def _parse_rows(text: str) -> AnnualPlan:
 
     A plan's cells repeat a few small numbers, so the step checks each
     distinct cell text and reads it by int() once, then looks every cell
-    up by its text. When most texts differ in a sample of at most 64
-    cells, taken at one stride through the plan, the table would cost
-    more than it saves, and int() reads every cell instead.
+    up by its text.
     """
     records = _records(text)
     body = records[1:] if records and _is_header([cell.strip() for cell in records[0]]) else records
     if body:
         width = len(body[0])
-        sample = list(islice(chain.from_iterable(body), 0, None, width * len(body) // 64 + 1))
-        texts = set(chain.from_iterable(body)) if 2 * len(set(sample)) <= len(sample) else None
-        digits = "".join(map("".join, body) if texts is None else texts)
+        texts = set(chain.from_iterable(body))
+        digits = "".join(texts)
         if width > 1 and digits.isdigit() and digits.isascii() and set(map(len, body)) == {width}:
             try:
-                convert = int if texts is None else dict(zip(texts, map(int, texts))).__getitem__
-                return AnnualPlan._trusted(tuple(zip(*[map(convert, chain.from_iterable(body))] * width)))
+                value = dict(zip(texts, map(int, texts)))
+                return AnnualPlan._trusted(tuple(zip(*[map(value.__getitem__, chain.from_iterable(body))] * width)))
             except ValueError:  # an empty cell, or one longer than int() reads
                 pass
     return _walk(records)
@@ -137,12 +134,13 @@ def parse_plan(source: str | Path | IO[str]) -> AnnualPlan:
     all blank is skipped wherever it is, as an empty line is. A header row
     is optional: the first row is one when none of its cells is a number
     to int() at any length, so a first row such as "+5,+6" is data and
-    fails at its first cell. A path is read as UTF-8; one leading
-    byte-order mark is dropped from a path or a stream alike.
+    fails at its first cell. A path is read as UTF-8, and a stream must
+    be open in text mode; one leading byte-order mark is dropped from a
+    path or a stream alike.
     Raises PlanParseError with the 1-based row/column on malformed input,
-    including unreadable paths, bytes that are not UTF-8 and oversized
-    cells: one with more digits than int() reads, or one past the csv
-    module's field size limit, on any line ending.
+    including unreadable paths, binary streams, bytes that are not UTF-8
+    and oversized cells: one with more digits than int() reads, or one
+    past the csv module's field size limit, on any line ending.
     """
     if hasattr(source, "read"):
         text = _read_text(source)
@@ -157,9 +155,12 @@ def parse_plan(source: str | Path | IO[str]) -> AnnualPlan:
 
 def _read_text(fh: IO[str]) -> str:
     try:
-        return fh.read().removeprefix("\ufeff")
+        text = fh.read()
     except UnicodeDecodeError as exc:
         raise PlanParseError(f"plan file is not UTF-8 text: {exc.reason}") from exc
+    if not isinstance(text, str):
+        raise PlanParseError(f"plan stream must be opened in text mode: it read {type(text).__name__}")
+    return text.removeprefix("\ufeff")
 
 
 def _write_matrix(rows, n: int, path: str | Path) -> None:
@@ -239,34 +240,18 @@ def build_report(
 _json_str = json.encoder.encode_basestring_ascii
 
 
-def _json_key(key) -> str:
-    """The quoted text of an object key, coerced as json.dumps coerces it:
-    a float, True, False or None by its JSON text and an int by its
-    number; any other type is refused with json's TypeError."""
-    if isinstance(key, str):
-        return _json_str(key)
-    if isinstance(key, (float, bool)) or key is None:
-        return _json_str(json.dumps(key))
-    if isinstance(key, int):
-        return _json_str(int.__repr__(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 def _record_layout(records, indent: str) -> str | None:
     """A %-template that renders each of records, plain dicts, at indent,
     when they all hold the same keys in the same order and only plain
-    ints. None when they do not, or when a key is refused or too long to
-    render: the generic path then raises json's error where json does."""
+    ints; None when they do not. A key that is not a str raises
+    TypeError."""
     keys = tuple(records[0])
     if not all(map(keys.__eq__, map(tuple, records))):
         return None
     if set(map(type, chain.from_iterable(map(dict.values, records)))) != {int}:
         return None
     inner = indent + "  "
-    try:
-        fields = [_json_key(key).replace("%", "%%") + ": %d" for key in keys]
-    except (TypeError, ValueError):
-        return None
+    fields = [_json_str(key).replace("%", "%%") + ": %d" for key in keys]
     return "{" + inner + ("," + inner).join(fields) + indent + "}"
 
 
@@ -274,12 +259,12 @@ def _render_json(value, indent: str, out) -> None:
     """Pass value's JSON text, laid out as by json.dumps(indent=2), to out
     piece by piece; indent is the newline and spaces of value's own line.
 
-    Plain ints, the report's usual value, are rendered in place rather
-    than by a call per number. A list of plain dicts with the same keys in
-    the same order and only plain-int values, such as the report's
-    boundary records, is rendered from one layout built for the list;
-    bools, int subclasses, dict subclasses and any other list take the
-    generic path.
+    A list of plain ints is rendered in one join. A list of plain dicts
+    with the same keys in the same order and only plain-int values, such
+    as the report's boundary records, is rendered from one layout built
+    for the list; bools, int subclasses, dict subclasses and any other
+    list take the generic path. Keys must be str: any other key raises
+    the TypeError of json's string encoder, which names its type.
     """
     if isinstance(value, str):
         out(_json_str(value))
@@ -295,12 +280,8 @@ def _render_json(value, indent: str, out) -> None:
         inner = indent + "  "
         sep = "{" + inner
         for key, item in value.items():
-            head = sep + (_json_str(key) if type(key) is str else _json_key(key)) + ": "  # str keys skip the call
-            if type(item) is int:
-                out(head + int.__repr__(item))
-            else:
-                out(head)
-                _render_json(item, inner, out)
+            out(sep + _json_str(key) + ": ")
+            _render_json(item, inner, out)
             sep = "," + inner
         out(indent + "}")
     elif isinstance(value, (list, tuple)):
@@ -327,9 +308,10 @@ def _render_json(value, indent: str, out) -> None:
 def render_report(report: dict) -> str:
     """Deterministic JSON rendering, keys in the order build_report set them.
 
-    The text is json.dumps(report, indent=2) plus a newline, keys coerced
-    and refused as json does, built here because json renders an indented
-    document with its pure-Python encoder.
+    The text is json.dumps(report, indent=2) plus a newline, built here
+    because json renders an indented document with its pure-Python
+    encoder. Keys must be str, as build_report's are: any other key
+    raises TypeError, where json would coerce a number, bool or None.
     """
     parts: list[str] = []
     _render_json(report, "\n", parts.append)

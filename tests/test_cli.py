@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,9 +16,9 @@ GOLDEN_CSV = """month_1,month_2,month_3,month_4
 """
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "repair_leveler", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
 @pytest.fixture
@@ -43,6 +44,21 @@ def test_exact_run(golden_csv: Path, tmp_path: Path):
     assert (out / "adjusted_plan.csv").exists()
     assert (out / "shifts.csv").exists()
     assert (out / "report.json").exists()
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(golden_csv: Path, tmp_path: Path):
+    # parse_plan iterates a set of cell texts, so string hashing must not reach an emitted byte
+    weekly = next(case for case in load_perfbench("workloads").generate("weekly-52", 1) if "bisection" in case.flags)
+    weekly_csv = tmp_path / "weekly.csv"
+    weekly_csv.write_text(weekly.csv_text(), encoding="utf-8")
+    for plan, flags in ((golden_csv, ()), (weekly_csv, weekly.flags)):
+        outputs = []
+        for seed in "01":
+            out = tmp_path / f"{plan.stem}-{seed}"
+            cp = run_cli("--input", str(plan), "--output-dir", str(out), *flags, env={**os.environ, "PYTHONHASHSEED": seed})
+            assert cp.returncode == 0, cp.stderr
+            outputs.append([(out / name).read_bytes() for name in ("adjusted_plan.csv", "shifts.csv", "report.json")])
+        assert outputs[0] == outputs[1]
 
 
 def test_report_contents(golden_csv: Path, tmp_path: Path):
