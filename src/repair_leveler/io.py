@@ -238,6 +238,7 @@ def build_report(
 
 
 _json_str = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # float.__repr__'s words to json's
 
 
 def _record_layout(records, indent: str) -> str | None:
@@ -301,8 +302,11 @@ def _render_json(value, indent: str, out) -> None:
                 _render_json(item, inner, out)
                 sep = "," + inner
             out(indent + "]")
-    else:  # floats, non-finite ones too, and None
-        out(json.dumps(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        out(_NON_FINITE.get(text, text))
+    else:  # None, or json's TypeError for any other type
+        out("null" if value is None else json.dumps(value))
 
 
 def render_report(report: dict) -> str:

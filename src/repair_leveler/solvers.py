@@ -102,13 +102,14 @@ def _month_costs(objective: Objective, n: int, total: int, loads) -> tuple[list[
 _MAX_CHAIN_STATES = 2_500_000
 
 
-def _check_chain_states(L) -> None:
-    """Refuse loads whose chain DP would pass _MAX_CHAIN_STATES inflow
-    states, before any table or scan is built: 1 for month 0, then
-    L[b] + L[b+1] + 1 for each boundary b."""
+def _check_chain_states(L) -> int:
+    """The chain DP's inflow-state count for loads L: 1 for month 0, then
+    L[b] + L[b+1] + 1 for each boundary b. Loads past _MAX_CHAIN_STATES
+    are refused here, before any table or scan is built."""
     states = 2 * sum(L) - L[0] - L[-1] + len(L)
     if states > _MAX_CHAIN_STATES:
         raise PlanError(f"the chain DP needs {_abridged(states)} states, past its limit of {_MAX_CHAIN_STATES}")
+    return states
 
 
 def _chain_dp(L, C, fixed=None):
@@ -147,16 +148,7 @@ def _chain_dp(L, C, fixed=None):
     equal to theta as the cost steps up to theta leave room for. The
     forward pass reads it once per boundary.
 
-    The work count is that of a pointer sweep (tests/helpers.py's
-    pointer_chain_dp), derived in closed form: by Topkis the smallest
-    best outflow never decreases as x grows, so one pointer per stage
-    resumes at the previous state's outflow and steps while that strictly
-    lowers the value. Each state compares its first pick and one refused
-    step unless its outflow is at its top min(k, span), and the pointer's
-    steps add up to the last state's outflow. Each state of the last
-    month counts one transition.
-
-    Returns (best scaled cost, flows tuple, that work count).
+    Returns (best scaled cost, flows tuple).
     """
     n = len(L)
     doms = [(0, 0)]  # inflow domain per month
@@ -174,9 +166,7 @@ def _chain_dp(L, C, fixed=None):
     u = L[n - 1] + lo  # the last month's load at its lowest inflow
     value = C[u]
     dV = dC[u : u + hi - lo]
-    visited = hi - lo + 1
     stages = [None] * (n - 1)  # per boundary: what the forward pass reads
-    c0 = dC[0] if dC else 0  # the smallest cost step
     for j in range(n - 2, -1, -1):
         lo1 = doms[j + 1][0]
         month = L[j]
@@ -189,28 +179,10 @@ def _chain_dp(L, C, fixed=None):
         doms[j] = (lo, hi)
         kmin = month + lo - lo1
         kmax = month + hi - lo1  # <= peak, so dC[:kmax] holds kmax steps
-        span = len(dV)
         merged = dC[:kmax] + dV
         merged.sort()  # two sorted runs: one stable merge, cost steps first on ties
         value += C[0] + sum(merged[:kmin])
         stages[j] = merged, dV, kmax, lo1
-        # the pointer sweep's work; a state whose outflow i(k) is at its top
-        # min(k, span) takes no refused step
-        states = kmax - kmin + 1
-        if span and kmax:
-            theta = merged[kmax - 1]
-            last = max(bisect_left(dV, theta), kmax - bisect_right(dC, theta, 0, kmax))  # i(kmax)
-            at_top = 0
-            if kmin <= span:  # i(k) = k up to the value steps below the first cost step
-                a = bisect_left(dV, c0)
-                if a >= kmin:
-                    at_top = min(a, kmax) - kmin + 1
-            if last == span < kmax:  # i(k) = span past the last value step's place in the merge
-                past = span + (bisect_right(dC, dV[-1], 0, kmax) or 1)
-                at_top += kmax - max(past, kmin) + 1
-            visited += 2 * states + last - at_top
-        else:
-            visited += states  # every outflow is at its top, 0
         dV = merged[kmin:kmax]
 
     xs: list[int] = []
@@ -226,7 +198,7 @@ def _chain_dp(L, C, fixed=None):
         else:
             x = lo1
         xs.append(x)
-    return value, tuple(xs), visited
+    return value, tuple(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -241,26 +213,23 @@ def solve_exact(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> S
     returned vector is the lexicographically smallest. Runs in O(n*L)
     for n months of up to L hours: both per-month costs are convex, so
     each stage is one sorted merge of two difference sequences.
-    visited_states is the work count of the equivalent pointer sweep,
-    derived in closed form: the transitions it compares, at most three
-    per inflow state. Loads that need more than _MAX_CHAIN_STATES inflow
-    states raise PlanError.
+    visited_states is the count of the DP's inflow states; loads that
+    need more than _MAX_CHAIN_STATES of them raise PlanError.
     """
-    _check_chain_states(loads.loads)
-    return _chain_solve(loads, config.objective, "exact")
+    return _chain_solve(loads, config.objective, "exact", _check_chain_states(loads.loads))
 
 
-def _chain_solve(loads: MonthlyLoads, objective: Objective, method: str, fixed=None, scans: int = 0) -> SolveResult:
+def _chain_solve(loads: MonthlyLoads, objective: Objective, method: str, visited: int, fixed=None) -> SolveResult:
     """The chain DP's result for loads as a checked SolveResult, optimal
-    unless boundaries are pinned; scans adds the work done to pin them."""
+    unless boundaries are pinned, reporting the caller's visited count."""
     L = loads.loads
     padded = (0, *L, 0)
     peak = max(map(sum, zip(padded, padded[1:], padded[2:])))
     C, scale = _month_costs(objective, len(L), sum(L), range(peak + 1))
-    best, xs, visited = _chain_dp(L, C, fixed)
+    best, xs = _chain_dp(L, C, fixed)
     transfers = TransferVector(xs)
     validate_transfers(loads, transfers)  # contract check on the way out
-    return SolveResult(transfers, Fraction(best, scale), method, fixed is None, visited + scans)
+    return SolveResult(transfers, Fraction(best, scale), method, fixed is None, visited)
 
 
 def solve_greedy(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) -> SolveResult:
@@ -303,12 +272,14 @@ def solve_bisection(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) 
     ties). Quarters need a month count divisible by four; any other
     count returns solve_exact's result, named "exact" and optimal. The
     state limit of solve_exact holds here too, checked before the scans.
+    visited_states is solve_exact's inflow-state count plus the flows
+    the three split scans try.
     """
     L = loads.loads
     n = len(L)
     if n % 4 != 0:
         return solve_exact(loads, config)
-    _check_chain_states(L)
+    states = _check_chain_states(L)
     total = sum(L)
     q, mid = n // 4, n // 2
 
@@ -330,7 +301,7 @@ def solve_bisection(loads: MonthlyLoads, config: SolverConfig = SolverConfig()) 
     v_q3, scan3 = split(mid, 3 * q, n, v_mid, 0, 4)
 
     fixed = {q - 1: v_q1, mid - 1: v_mid, 3 * q - 1: v_q3}
-    return _chain_solve(loads, config.objective, "bisection", fixed, scan1 + scan2 + scan3)
+    return _chain_solve(loads, config.objective, "bisection", states + scan1 + scan2 + scan3, fixed)
 
 
 # ---------------------------------------------------------------------------

@@ -112,3 +112,76 @@ def test_the_recorded_baseline_holds_every_entry_the_gate_reads():
         recorded = baseline["workloads"][w][f"trace{t}"]
         assert w in gate.STALE or str(s) in recorded["digests"]
         assert (s == 1 and t == 1) == (str(s) in recorded["counts"])
+
+
+def _declare(tree: Path, entries: dict) -> None:
+    path = tree / gate.DECLARED
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(entries))
+
+
+MOVED = ("weekly-52", 1, 1)
+MOVED_KEY = "weekly-52 seed 1 trace 1"
+MOVED_ENTRY = {"digest": "moved", "counts": {**COUNTS, "solvers.visited_states": 5}}
+
+
+def _move(tree: Path) -> None:
+    _write(tree, *MOVED, MOVED_ENTRY["digest"], MOVED_ENTRY["counts"])
+
+
+def test_a_declared_move_passes(trees):
+    head, base = trees
+    _move(head)
+    _declare(head, {MOVED_KEY: MOVED_ENTRY})
+    assert gate.problems(head, base, BASELINE) == []
+    labels = [label for label, _, _ in gate.checks(head, base, BASELINE) if label.startswith(MOVED_KEY)]
+    assert f"{MOVED_KEY} digest against its declaration" in labels
+    assert f"{MOVED_KEY} base tree differs from its declaration" in labels
+    assert not any(label.endswith("against the base tree") for label in labels)
+
+
+def test_an_undeclared_move_fails(trees):
+    head, base = trees
+    _move(head)
+    _declare(head, {"annual-exact seed 2 trace 0": {"digest": "other", "counts": {}}})
+    _write(head, "annual-exact", 2, 0, "other", {})
+    assert gate.problems(head, base, BASELINE) == [
+        f"{MOVED_KEY} digest against the base tree",
+        f"{MOVED_KEY} solvers.visited_states against the base tree",
+    ]
+
+
+def test_a_run_that_misses_its_declaration_fails(trees):
+    head, base = trees
+    _write(head, *MOVED, "moved", dict(COUNTS))
+    _declare(head, {MOVED_KEY: MOVED_ENTRY})
+    assert gate.problems(head, base, BASELINE) == [f"{MOVED_KEY} solvers.visited_states against its declaration"]
+
+
+def test_a_declaration_for_a_run_that_did_not_move_fails(trees):
+    head, base = trees
+    _move(head)
+    _move(base)
+    _declare(head, {MOVED_KEY: MOVED_ENTRY})
+    assert gate.problems(head, base, BASELINE) == [f"{MOVED_KEY} base tree differs from its declaration"]
+
+
+def test_an_entry_carried_from_the_base_holds_its_run_to_the_base_tree(trees):
+    # the base tree's program emits the declared output; this tree must match it
+    head, base = trees
+    for tree in trees:
+        _declare(tree, {MOVED_KEY: MOVED_ENTRY})
+    assert gate.problems(head, base, BASELINE) == []
+    _move(base)
+    assert gate.problems(head, base, BASELINE) == [
+        f"{MOVED_KEY} digest against the base tree",
+        f"{MOVED_KEY} solvers.visited_states against the base tree",
+    ]
+    _move(head)
+    assert gate.problems(head, base, BASELINE) == []
+
+
+def test_an_unknown_run_key_fails(trees):
+    head, base = trees
+    _declare(head, {"weekly-52 seed 11 trace 0": {"digest": "x", "counts": {}}})
+    assert gate.problems(head, base, BASELINE) == ["declared weekly-52 seed 11 trace 0"]

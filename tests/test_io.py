@@ -719,6 +719,29 @@ def test_render_report_refuses_as_json_does(doc, key_type):
         assert _refusal(render_report, doc) == (TypeError, f"first argument must be a string, not {key_type}")
 
 
+class _Ratio(float):
+    def __repr__(self):
+        return "ratio"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [-0.0, 1e16, 5e-324, float("nan"), float("inf"), float("-inf"), _Ratio(2.5), _Ratio("nan"), None],
+    ids=["negative-zero", "1e16", "least-subnormal", "nan", "infinity", "minus-infinity", "subclass",
+         "nan-subclass", "none"],
+)
+def test_render_report_spells_floats_and_none_as_json_does(value):
+    # a float subclass is spelled by float.__repr__, not its own repr
+    doc = {"value": value, "list": [value, 1], "records": [{"a": value}, {"a": value}]}
+    assert render_report(doc) == json_report(doc)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 3), 1j, {1}, b"x", object()], ids=["fraction", "complex", "set", "bytes", "object"])
+def test_render_report_refuses_other_scalars_as_json_does(value):
+    doc = {"a": [1, {"b": value}]}
+    assert _refusal(render_report, doc) == _refusal(json_report, doc)
+
+
 def test_render_report_refuses_non_string_keys():
     keys = [2, 1.5, True, None, _Month.A, (1,), b"x"]
     for key in keys:

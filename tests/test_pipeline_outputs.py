@@ -125,36 +125,37 @@ PINNED_RUNS = {
 
 # recorded from the program before _chain_dp cut its dead states, the
 # fleet and weekly runs before parse_plan's one-step conversion of digit
-# rows and realization by month column; a change that moves an emitted
-# byte re-records them and says why
+# rows and realization by month column, the exact and bisection runs when
+# visited_states became the chain DP's inflow-state count; a change that
+# moves an emitted byte re-records them and says why
 PINNED_DIGESTS = {
-    "dead-bisection-l1": "e7f7e353048c3be22f2f5c6934185cc776c5ca568f763896499fc5a0e8011c9c",
-    "dead-bisection-quadratic": "2acee49ded648616bff38c78a0fde319de56b2b2b83636f2b66029ebb3d87386",
+    "dead-bisection-l1": "ac92764192bfdd92aaf4f6143b64dfc515afa53774e0f879563f008012f56207",
+    "dead-bisection-quadratic": "6db928a4fa8d53eca92e321a889fa670ee9a742dbf3db4eea6df5b85d45b0d9d",
     "fleet-greedy-l1": "8026ad67293bb01b389d5acfe7f2571557667e08f15f1da35e9471fb0e030dd3",
     "fleet-greedy-quadratic": "7f5132122c3cb39558d90acb4b3c4e60d7273a959807bcae8d73497cf2abfa3e",
-    "golden-bisection-l1": "271688a26010291b37999c12cba2a814c4fc324e7415ab4cd8c4364723246922",
-    "golden-bisection-l1-verify": "86aa1e629b2727b8c64bba230b76b293ce51787c90087ccc96be507fea54bf28",
-    "golden-bisection-quadratic": "6c4daf7562b2569e1d2cf52bac61c4bcd0ee9fb62ed6b95bffb158ef60f3ad53",
-    "golden-bisection-quadratic-verify": "302191a6e2c90e538dee5d85332cffa4761d2785c443ea5b0d9f0d19d8d232eb",
-    "golden-exact-l1": "3c5870e72b61407c9942a2fc04db3570db14f162278ce681c3ebbe8e874f55e7",
-    "golden-exact-l1-verify": "d148359389a5a00003a2a945ee36a40d05fdbdadbd9cc13a2b4319ead7e2e14e",
-    "golden-exact-quadratic": "594ae4235ea5709cd45cc324acc44f0d32aa95969b7ac623b86356e2b5770ebf",
-    "golden-exact-quadratic-verify": "ed55a086ff657a4a3bca5aacccf3af5035fc27b86a7a87397b14fa8d9a8a0174",
+    "golden-bisection-l1": "7da85edd4e86637ac8fe221b22827aaa532771ae2c538bc7b82eb465470b9d81",
+    "golden-bisection-l1-verify": "0a43039bb7c2f725e6f74acc1b266d3273d61af0afde30e3f2d40da4dccd09ee",
+    "golden-bisection-quadratic": "b472ca95e63635a6e0ad5dcb0505fc7d54a2e44c48bcbd9d754f028d3bcbd22c",
+    "golden-bisection-quadratic-verify": "0ebab9fdb9e2f9fd8c7eb1b87285c6b88175e7b65cf04cfe678ad1f51271f926",
+    "golden-exact-l1": "7cf33157afd7eff8154d3b2047ee1c9c37bd41427acdadea99f750a7509404a8",
+    "golden-exact-l1-verify": "1519849b99b2c1731f1371189ef5c0c363e8dd69cb261dfbb9276f9f57b7d458",
+    "golden-exact-quadratic": "95e3e8e55764362ea961760e5b84d3b03688d134d992755d0cbb8be339f8d5b3",
+    "golden-exact-quadratic-verify": "264281b9f76b45447817c4b43e4dc4fd95f0825b26f1b867cec04e05d006267b",
     "golden-greedy-l1": "12375bf5bc02c6e6d30be4538383132534d8c6b54ff91b23cc3af42d02c32f0e",
     "golden-greedy-l1-verify": "c86ccd056aa888166f007223d1bfedd17acc0f594a13742903bec10d89bf388d",
     "golden-greedy-quadratic": "44c5e6993a1d54d2ede3cf2609e6d28d27fbcc2dd4053e7e3b984a13163d0c80",
     "golden-greedy-quadratic-verify": "dfc7e501128420a96b3a13626fc418f8154b321fb5631f0afad834c002c9537f",
     "golden-shifts-only-verify": "21497d7144839a37722e444b633d5b2e003f953b35878e9d4913a017d2926e7b",
-    "short-bisection-l1": "45cb43a89e08d18cb92c7d2f6dd7cb7e108821804dd6453d0a2e8ac038c3e4e0",
-    "short-bisection-l1-verify": "a7f05efc8a7f8723f100947798e14650925a795f01665d6e759ca467fab9ff65",
-    "short-bisection-quadratic": "35fdf0fcce019ff4f4b201fed0155ab22ec505b5f43ee14a82a8b8976d215f96",
-    "short-bisection-quadratic-verify": "afe74284576a3b31aff04864d88cf6699d21c1befb80521a1eb86cd1f8172cb3",
-    "six-bisection-l1": "65f7519689b00f1b9a5be25a603afdff9dc8e2adcc6c6badc6a87f2c6d3a7836",
-    "six-bisection-l1-verify": "d65bb1a8b7b1e7973eccd62e2fd42cbb925620e3f5dd8c44151f88185f0f0f6e",
-    "six-bisection-quadratic": "23b5cb78a773b7f387efd3178737a3b8198379949c423d63887a8584e66f756c",
-    "six-bisection-quadratic-verify": "59ac89c8e394d904e9c3031619761b8799576ca0784051f3b1a1f8d6549cb7b6",
-    "weekly-exact-l1": "3807c6271447c1079bede30c23f3aa8afb6f6d9ec67a4f403eac5ae611f1a953",
-    "weekly-exact-quadratic": "4f53863846a06bef66f6095f941c64d44680d95aa17a842852936078b14264df",
+    "short-bisection-l1": "bcbff6e7691fa4cb79244e4e204837f0faea235406d38a1c574a1c213cc1b1ce",
+    "short-bisection-l1-verify": "0b6df0f4e4e6c7f377f93ec0442edaa266bad047170f6740cc137d9c20b4e355",
+    "short-bisection-quadratic": "be6353a1dd06061faf332c40fae5f645cf3bcea119ef1026aab4620acafbf662",
+    "short-bisection-quadratic-verify": "c803fd938c5e3224f0b50a4449c8e7992bc93f6cd6bb0fb9d3f4f7b84d6728ca",
+    "six-bisection-l1": "254a7c630a25c7cefd89056c507f0cc89ea040d9132e0f28a21341a5f0e8ab1f",
+    "six-bisection-l1-verify": "5c2db6674c1a78c498ffd44a46832553b73a231f3bb422a7b93b03e758cbccc6",
+    "six-bisection-quadratic": "e3f2ca8a950d795780425f00a86908e27cbecd97989944f40ca4f9241af7b6dc",
+    "six-bisection-quadratic-verify": "f810a47c4144046c7180e9da16a16d01a9fad040ad2efae946bd314543b12249",
+    "weekly-exact-l1": "b1aec281d525bf1247fb9bc5e04f1c4b6f61abef8b92dc9c281ccb58914e2908",
+    "weekly-exact-quadratic": "fc50f8098cc1ea8c9aa4923bcbaf7a6759b6c162fc2640234152c87e8cdc6ee6",
 }
 
 

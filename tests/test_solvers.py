@@ -481,23 +481,24 @@ _Q52 = (
 _DEAD = (8, 0, 1, 5, 0, 2, 0, 2)
 L1, QD = Objective.L1, Objective.QUADRATIC
 
-# visited_states of each case below: the transitions the chain DP's
-# backward sweep compares, plus the flows bisection's three split scans try
-_SWEEP_WORK = {
-    (_N2, L1): 15, (_N2, QD): 15,
-    (_N5, L1): 285, (_N5, QD): 314,
-    (_N12, L1): 656, (_N12, QD): 713,
-    (_Q4, L1): 97, (_Q4, QD): 97,
-    (_Q8, L1): 250, (_Q8, QD): 250,
-    (_Q12, L1): 609, (_Q12, QD): 626,
-    (_Q52, L1): 1396, (_Q52, QD): 1472,
-    (_DEAD, L1): 37, (_DEAD, QD): 38,
-}
+def _split_cuts(solve, L):
+    # the months c at whose boundary c - 1 bisection pins a split flow
+    n = len(L)
+    return (n // 4, n // 2, 3 * n // 4) if solve is solve_bisection and n % 4 == 0 else ()
+
+
+def _closed_form_states(solve, L):
+    # visited_states: the chain DP's inflow states, 1 for month 0 and then
+    # L[b] + L[b+1] + 1 per boundary b, plus the L[c-1] + L[c] + 1 flows
+    # each of bisection's three split scans tries
+    states = 2 * sum(L) - L[0] - L[-1] + len(L)
+    return states + sum(L[c - 1] + L[c] + 1 for c in _split_cuts(solve, L))
 
 
 @pytest.mark.parametrize(
     # scan_work: the transitions a scan of every affordable outflow per
-    # state makes on the case, plus the split scans; the sweep never makes more
+    # state makes on the case, plus the split scans; every state of the
+    # DP that runs has at least one
     "solve, objective, loads, transfers, value, scan_work",
     [
         (solve_exact, L1, _N2, (-1,), Fraction(0), 18),
@@ -533,8 +534,10 @@ def test_pinned_solver_outputs(solve, objective, loads, transfers, value, scan_w
     result = solve(MonthlyLoads(loads), SolverConfig(objective))
     assert result.transfers.x == transfers
     assert result.objective_value == value
-    assert result.visited_states == _SWEEP_WORK[loads, objective]
-    assert result.visited_states <= scan_work
+    assert result.visited_states == _closed_form_states(solve, loads)
+    # at a pinned split boundary the count holds L[c-1] + L[c] + 1 inflow
+    # states, where the DP that runs, and so the scan, holds one
+    assert result.visited_states - sum(loads[c - 1] + loads[c] for c in _split_cuts(solve, loads)) <= scan_work
 
 
 # Loads near 4 000, 10 000 and 20 000 h per month: at these sizes a scan of
@@ -553,6 +556,19 @@ def test_exact_work_is_linear_in_month_hours(loads, objective):
     width = 1 + sum(loads[b] + loads[b + 1] + 1 for b in range(len(loads) - 1))
     result = solve_exact(MonthlyLoads(loads), SolverConfig(objective))
     assert 0 < result.visited_states <= 3 * width
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=60), min_size=2, max_size=16),
+    st.sampled_from(Objective),
+    st.sampled_from([solve_exact, solve_bisection]),
+)
+def test_visited_states_is_the_closed_form(L, objective, solve):
+    # exact: 2*sum(L) - L[0] - L[-1] + n inflow states; bisection with
+    # n % 4 == 0 adds L[c-1] + L[c] + 1 per cut c = n/4, n/2, 3n/4
+    result = solve(MonthlyLoads(tuple(L)), SolverConfig(objective))
+    assert result.visited_states == _closed_form_states(solve, L)
 
 
 @st.composite
@@ -591,20 +607,20 @@ def test_chain_dp_matches_quadratic_reference(case):
 @settings(max_examples=300, deadline=None)
 @given(chain_cases())
 def test_chain_dp_matches_pointer_reference(case):
-    # the sweep that calls cost on every state it compares: the same value,
-    # flows and work count, and the same refusal of unaffordable pins
-    assert _chain_outcome(_table_chain_dp, case, 3) == _chain_outcome(pointer_chain_dp, case, 3)
+    # the sweep that calls cost on every state it compares: the same value
+    # and flows, and the same refusal of unaffordable pins
+    assert _chain_outcome(_table_chain_dp, case) == _chain_outcome(pointer_chain_dp, case)
 
 
 @pytest.mark.parametrize("objective", [L1, QD])
 @pytest.mark.parametrize("loads", [_H4K, _H10K, _H20K])
 def test_chain_dp_matches_pointer_reference_at_scale(loads, objective):
     cost, _ = month_cost(objective, len(loads), sum(loads))
-    assert _table_chain_dp(loads, cost) == pointer_chain_dp(loads, cost)
+    assert _table_chain_dp(loads, cost) == pointer_chain_dp(loads, cost)[:2]
 
 
 # A stage merges the cost steps up to its largest month-j load k with the
-# next month's value steps, span of them; its work count is closed-form.
+# next month's value steps, span of them; the edges of that merge below.
 @pytest.mark.parametrize("objective", [L1, QD])
 @pytest.mark.parametrize(
     "L, fixed",
@@ -620,7 +636,7 @@ def test_chain_dp_matches_pointer_reference_at_scale(loads, objective):
 )
 def test_chain_dp_work_count_edges(L, fixed, objective):
     cost, _ = month_cost(objective, len(L), sum(L))
-    assert _table_chain_dp(L, cost, fixed) == pointer_chain_dp(L, cost, fixed)
+    assert _table_chain_dp(L, cost, fixed) == pointer_chain_dp(L, cost, fixed)[:2]
 
 
 @pytest.mark.parametrize("objective", [L1, QD])
@@ -663,13 +679,13 @@ workloads = load_perfbench("workloads")
 
 # solvers.visited_states summed over each benchmark workload's seed-1
 # plans, each solved with the method and objective its flags name;
-# shifts-only plans solve nothing. Recorded before the chain DP read its
-# costs from a table, which left every count as it was.
+# shifts-only plans solve nothing. Recorded when the chain DP's count
+# became its inflow states; fleet-greedy's greedy count did not move.
 _WORKLOAD_WORK = {
-    "annual-exact": 449_091,
-    "desk-verify": 72_889,
+    "annual-exact": 176_551,
+    "desk-verify": 42_834,
     "fleet-greedy": 1_100,
-    "weekly-52": 915_888,
+    "weekly-52": 372_886,
 }
 
 

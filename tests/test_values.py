@@ -50,7 +50,7 @@ REPRS = [
     (
         SMALL_RESULT,
         "SolveResult(transfers=TransferVector(x=(2, 0)), objective_value=Fraction(0, 1), "
-        "method='exact', optimal=True, visited_states=27)",
+        "method='exact', optimal=True, visited_states=13)",
     ),
     (
         SMALL_QP.substitution,
