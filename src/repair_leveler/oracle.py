@@ -110,51 +110,58 @@ def brute_force_shifts(plan: AnnualPlan, objective: Objective) -> tuple[ShiftMat
 
     Cells are visited row-major with options ascending (-1, 0, +1), so
     with strict-improvement updates the winner is the matrix whose
-    row-major flattening is lexicographically smallest among optima.
+    row-major flattening is lexicographically smallest among optima. A
+    move changes two column sums, so the search carries its running cost
+    and scores a leaf in O(1). A month always holds the hours of some
+    subset of the cells, so each subset sum is costed once, before the
+    search: at most 2**_MAX_CELLS of them, whatever the hours.
     """
     k, n = plan.k, plan.n
     if k * n > _MAX_CELLS:
         raise BudgetExceededError(f"shift search accepts up to {_MAX_CELLS} cells, got {k * n}")
-    total = plan.total_hours()
-    _, scale = _month_costs(objective, n, total, ())
-    cells = [(i, j) for i in range(k) for j in range(n) if plan.entries[i][j] > 0]
     sums = list(column_sums(plan).loads)
+    reach = {0}
+    for row in plan.entries:
+        for hours in row:
+            reach |= {u + hours for u in reach}
+    costs, scale = _month_costs(objective, n, sum(sums), reach)
+    C = dict(zip(reach, costs))
     marks = [[0] * n for _ in range(k)]
+    # (mark row, month, hours, moves in ascending order) per nonzero cell, row-major
+    cells = [
+        (row, j, hours, [s for s in (-1, 0, 1) if 0 <= j + s < n])
+        for row, entries in zip(marks, plan.entries)
+        for j, hours in enumerate(entries)
+        if hours > 0
+    ]
+    last = len(cells)
     best: int | None = None
     best_marks: tuple[tuple[int, ...], ...] | None = None
     state = 0
 
-    def walk(idx: int) -> None:
+    def walk(idx: int, cost: int) -> None:
         nonlocal best, best_marks, state
         state += 1
         if state > _MAX_STATES:
             raise BudgetExceededError(f"shift search passed {_MAX_STATES} states")
-        if idx == len(cells):
-            c = sum(_month_costs(objective, n, total, sums)[0])
-            if best is None or c < best:
-                best = c
-                best_marks = tuple(tuple(row) for row in marks)
+        if idx == last:
+            if best is None or cost < best:
+                best = cost
+                best_marks = tuple(map(tuple, marks))
             return
-        i, j = cells[idx]
-        hours = plan.entries[i][j]
-        options = []
-        if j > 0:
-            options.append(-1)
-        options.append(0)
-        if j < n - 1:
-            options.append(1)
-        for s in options:
-            marks[i][j] = s
+        row, j, hours, moves = cells[idx]
+        for s in moves:
+            row[j] = s
             if s:
-                sums[j] -= hours
-                sums[j + s] += hours
-            walk(idx + 1)
-            if s:
-                sums[j] += hours
-                sums[j + s] -= hours
-        marks[i][j] = 0
+                a, b = sums[j], sums[j + s]
+                sums[j], sums[j + s] = a - hours, b + hours
+                walk(idx + 1, cost + C[a - hours] - C[a] + C[b + hours] - C[b])
+                sums[j], sums[j + s] = a, b
+            else:
+                walk(idx + 1, cost)
+        row[j] = 0
 
-    walk(0)
+    walk(0, sum(map(C.__getitem__, sums)))
     assert best is not None and best_marks is not None
     return ShiftMatrix(best_marks), Fraction(best, scale)
 

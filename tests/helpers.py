@@ -6,6 +6,7 @@ reproducible from its seed alone.
 
 import csv
 import importlib.util
+import itertools
 import json
 import random
 import sys
@@ -262,7 +263,7 @@ def quadratic_chain_dp(L, cost, fixed=None):
 
 def pointer_chain_dp(L, cost, fixed=None):
     """Reference for solvers._chain_dp: the same sweep calling cost on
-    every state it compares, with the work counted as it goes.
+    every state it compares.
 
     Minimize the summed per-month cost over integer boundary flows.
 
@@ -289,8 +290,7 @@ def pointer_chain_dp(L, cost, fixed=None):
     passes an inflow's largest affordable outflow, because both only
     move forward and the raised bound makes the first one affordable.
 
-    Returns (best scaled cost, flows tuple, cost evaluations in the
-    backward sweep).
+    Returns (best scaled cost, flows tuple).
     """
     n = len(L)
     doms = [(0, 0)]  # inflow domain per month
@@ -305,7 +305,6 @@ def pointer_chain_dp(L, cost, fixed=None):
     lo, hi = doms[n - 1]
     last = L[n - 1]
     nxt = [cost(last + x) for x in range(lo, hi + 1)]
-    visited = hi - lo + 1
     # argmins[j][x - lo] = smallest best outflow of month j given inflow x
     argmins: list[list[int]] = [[] for _ in range(n - 1)]
     for j in range(n - 2, -1, -1):
@@ -326,10 +325,8 @@ def pointer_chain_dp(L, cost, fixed=None):
             top = (pool if pool < hi1 else hi1) - lo1  # as an index; outflow past the pool goes negative
             rest = pool - lo1
             best = cost(rest - i) + nxt[i]
-            visited += 1
             while i < top:
                 c = cost(rest - i - 1) + nxt[i + 1]
-                visited += 1
                 if c >= best:
                     break
                 best = c
@@ -343,7 +340,26 @@ def pointer_chain_dp(L, cost, fixed=None):
     for j in range(n - 1):
         x = argmins[j][x - doms[j][0]]
         xs.append(x)
-    return nxt[0], tuple(xs), visited
+    return nxt[0], tuple(xs)
+
+
+def product_brute_force_shifts(plan: AnnualPlan, objective: Objective) -> tuple[ShiftMatrix, Fraction]:
+    """Reference for oracle.brute_force_shifts: every move pattern of the
+    nonzero cells from itertools.product, in row-major order with each
+    cell's moves ascending, scored from scratch in Fraction arithmetic;
+    the first pattern of the least deviation wins."""
+    k, n = plan.k, plan.n
+    cells = [(i, j) for i in range(k) for j in range(n) if plan.entries[i][j] > 0]
+    best = None
+    for pattern in itertools.product(*([s for s in (-1, 0, 1) if 0 <= j + s < n] for _, j in cells)):
+        marks = [[0] * n for _ in range(k)]
+        for (i, j), s in zip(cells, pattern):
+            marks[i][j] = s
+        shift = ShiftMatrix(tuple(map(tuple, marks)))
+        value = direct_deviation(column_sums(apply_shift_matrix(plan, shift)), objective)
+        if best is None or value < best[1]:
+            best = shift, value
+    return best
 
 
 def dict_subset_select(problem: SelectionProblem) -> tuple[int, ...]:

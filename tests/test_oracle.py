@@ -29,6 +29,7 @@ from helpers import (
     SWEEP_LOAD_CAP,
     direct_deviation,
     load_perfbench,
+    product_brute_force_shifts,
     pruned_brute_force_transfers,
     random_loads,
 )
@@ -158,6 +159,24 @@ def test_shift_oracle_quadratic():
     matrix, value = brute_force_shifts(AnnualPlan(((4, 0), (2, 0))), Objective.QUADRATIC)
     assert matrix.shifts == ((0, 0), (1, 0))
     assert value == 2
+
+
+@st.composite
+def shift_plans(draw):
+    # up to 7 cells, a third of them empty, some repeated hours and some
+    # past 60, so ties between patterns are common
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, 7 // n))
+    hours = st.one_of(st.just(0), st.integers(1, 6), st.integers(1, 10**6))
+    return AnnualPlan(tuple(tuple(draw(st.lists(hours, min_size=n, max_size=n))) for _ in range(k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shift_plans(), st.sampled_from(Objective))
+def test_shift_oracle_matches_product_reference(plan, objective):
+    # the running-cost search picks the same matrix, lexicographically
+    # smallest among optima, as scoring every pattern from scratch
+    assert brute_force_shifts(plan, objective) == product_brute_force_shifts(plan, objective)
 
 
 def test_shift_oracle_value_matches_apply_path():
